@@ -3,7 +3,6 @@ uncertainty, abstention, and open-set scoring."""
 
 from .bayes import (
     BetaPosterior,
-    PseudoCounts,
     UncertaintyReport,
     base_rate_prior,
     beta_cdf,
@@ -24,7 +23,6 @@ from .data import (
     preset_datasets,
     save_csv,
     split,
-    standardize_fit,
 )
 from .evaluate import (
     NO_SUPPORT,
@@ -42,9 +40,7 @@ from .model import (
     FfnnModel,
     GlmRegressor,
     TrainConfig,
-    cccpde_forward,
     glm_fit_and_predict,
-    joint_loss,
     load_model,
     save_model,
     train,
@@ -58,7 +54,6 @@ from .nn import (
     Param,
     activation,
     activation_grad,
-    adam_step,
     bce_loss,
     dropout,
     gaussian_nll_loss,
@@ -67,10 +62,8 @@ from .numerics import (
     Rng,
     derive_seed,
     finite_diff_grad,
-    gaussian_draws,
     log_gamma,
     logsumexp,
-    matmul,
 )
 
 __version__ = "0.1.0"

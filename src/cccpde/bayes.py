@@ -40,15 +40,6 @@ class BetaPosterior:
         return self.a / (self.a + self.b)
 
 
-@dataclass(frozen=True)
-class PseudoCounts:
-    """Per-class pseudo-counts plus the neighborhood volume that scaled them."""
-
-    counts: np.ndarray
-    volume: float
-    mode: str  # "pointwise" or "monte-carlo"
-
-
 def beta_update(prior: BetaPosterior, pos_count: float,
                 neg_count: float) -> BetaPosterior:
     """Conjugate update: counts add directly onto the shape parameters."""
@@ -68,7 +59,7 @@ def base_rate_prior(positive_rate: float, concentration: float) -> BetaPosterior
 
 
 def pseudo_counts(log_densities: np.ndarray, class_counts: np.ndarray,
-                  volume: float) -> PseudoCounts:
+                  volume: float) -> np.ndarray:
     """Expected same-class sample counts in a neighborhood of volume V.
 
     c_k = V * N_k * p_k(x), evaluated in log space; anything below
@@ -82,9 +73,8 @@ def pseudo_counts(log_densities: np.ndarray, class_counts: np.ndarray,
         raise DomainError("class counts must be nonnegative")
     with np.errstate(divide="ignore"):
         log_c = math.log(volume) + np.log(class_counts) + log_densities
-    counts = np.where(log_c < UNDERFLOW_LOG, 0.0,
-                      np.exp(np.minimum(log_c, OVERFLOW_LOG)))
-    return PseudoCounts(counts, volume, "pointwise")
+    return np.where(log_c < UNDERFLOW_LOG, 0.0,
+                    np.exp(np.minimum(log_c, OVERFLOW_LOG)))
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -240,7 +230,7 @@ def posterior_report(log_densities: np.ndarray, class_counts: np.ndarray,
             "posterior reports support binary models only; a multiclass "
             "version needs a Dirichlet-multinomial treatment that is not "
             "implemented here")
-    counts = pseudo_counts(log_densities, class_counts, volume).counts
+    counts = pseudo_counts(log_densities, class_counts, volume)
     post = beta_update(prior, counts[1], counts[0])
     lo, hi = credible_interval(post, mass)
     return UncertaintyReport(

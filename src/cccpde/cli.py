@@ -16,9 +16,7 @@ error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -103,25 +101,6 @@ def _write_config_log(path, resolved: dict, extra: dict | None = None) -> None:
             fh.write(f"{key} = {entries[key]}\n")
 
 
-def _chunked_forward(model: CccpDeModel, x: np.ndarray, threads: int):
-    """Per-class log-densities and sigmoid scores, optionally fanned out.
-
-    Forward passes cache intermediates on the model, so each worker gets
-    its own frozen copy; results merge in input order.
-    """
-    if threads <= 1 or x.shape[0] < 2 * threads:
-        return model.forward(x)
-    chunks = np.array_split(np.arange(x.shape[0]), threads)
-    clones = [copy.deepcopy(model) for _ in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda payload: payload[0].forward(x[payload[1]]),
-            zip(clones, chunks)))
-    log_d = np.vstack([p[0] for p in parts])
-    scores = np.concatenate([p[1] for p in parts])
-    return log_d, scores
-
-
 # -- subcommands ---------------------------------------------------------------
 
 _GEN_DEFAULTS = {"seed": 0, "train_size": 4000, "test_size": 4000}
@@ -161,9 +140,9 @@ def _cmd_train(args) -> int:
     dataset = load_csv(args.data)
     config = TrainConfig(
         epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"], seed=cfg["seed"],
-        hidden=cfg["hidden"], base_depth=cfg["base_depth"],
-        head_depth=cfg["head_depth"], disc_blocks=cfg["disc_blocks"],
+        learning_rate=cfg["learning_rate"], hidden=cfg["hidden"],
+        base_depth=cfg["base_depth"], head_depth=cfg["head_depth"],
+        disc_blocks=cfg["disc_blocks"],
         ffnn_blocks=cfg["ffnn_blocks"], dropout=cfg["dropout"],
         flow_weight=cfg["flow_weight"], disc_weight=cfg["disc_weight"])
     init_rng = Rng(derive_seed(cfg["seed"], "init"))
@@ -195,12 +174,12 @@ def _cmd_train(args) -> int:
 
 _EVAL_DEFAULTS = {
     "seed": 0, "threshold": 0.1, "mass": 0.95, "prior_a": 1.0, "prior_b": 1.0,
-    "base_rate": None, "prior_strength": 2.0, "volume": None, "threads": 1,
+    "base_rate": None, "prior_strength": 2.0, "volume": None,
 }
 _EVAL_TYPES = {
     "seed": int, "threshold": float, "mass": float, "prior_a": float,
     "prior_b": float, "base_rate": float, "prior_strength": float,
-    "volume": float, "threads": int,
+    "volume": float,
 }
 
 
@@ -220,8 +199,7 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    log_d, sigmoid_scores = _chunked_forward(model, dataset.features,
-                                             cfg["threads"])
+    log_d, sigmoid_scores = model.forward(dataset.features)
     with np.errstate(divide="ignore"):
         log_priors = np.log(model.class_priors)
     _, ratio_scores = ev.ratio_test_classify(log_d, log_priors)
@@ -412,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-rate", type=float, dest="base_rate")
     p.add_argument("--prior-strength", type=float, dest="prior_strength")
     p.add_argument("--volume", type=float)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sample", help="draw samples from one class head")

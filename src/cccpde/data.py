@@ -210,6 +210,8 @@ def load_csv(path) -> Dataset:
             row = [float(c) for c in cells[1:]]
         except ValueError:
             raise CsvFormatError("non-numeric feature cell", line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise CsvFormatError("non-finite feature cell", line=lineno)
         labels.append(label)
         features.append(row)
     feats = np.array(features, dtype=np.float64) if features \
@@ -265,10 +267,6 @@ class Standardizer:
     def log_volume_scale(self) -> float:
         """log of the Jacobian of apply(); corrects densities to input space."""
         return -float(np.sum(np.log(self.std)))
-
-
-def standardize_fit(features: np.ndarray) -> Standardizer:
-    return Standardizer.fit(features)
 
 
 def split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -42,7 +42,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 1e-3
-    seed: int = 0
     hidden: int = 64
     base_depth: int = 3
     head_depth: int = 1
@@ -101,6 +100,7 @@ class FfnnModel:
         """Positive-class probabilities, deterministic inference pass."""
         return self._forward(x, None, False)[0]
 
+    # this model ignores the loss weights; `train` passes them to both kinds
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
                        rng: Rng | None = None, training: bool = True,
                        flow_weight: float = 1.0,
@@ -217,11 +217,6 @@ class CccpDeModel:
     def log_densities(self, x: np.ndarray) -> np.ndarray:
         """Per-class log-densities in raw input space."""
         return self.forward(x)[0]
-
-    def disc_scores(self, x: np.ndarray) -> np.ndarray:
-        xs, _ = self._model_space(x)
-        base_out, _ = self.base.forward(xs)
-        return self._disc_forward(base_out, None, False)[0]
 
     def sample_class(self, class_index: int, rng: Rng, n: int) -> np.ndarray:
         """Draw from one class head: latent draws inverted through head and base."""
@@ -373,10 +368,7 @@ class GlmRegressor:
         mu, log_var = self._forward(x)
         return mu, np.exp(0.5 * log_var)
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       rng: Rng | None = None, training: bool = True,
-                       flow_weight: float = 1.0,
-                       disc_weight: float = 1.0) -> float:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> float:
         mu, log_var = self._forward(x)
         loss, g_mu, g_log_var = gaussian_nll_loss(mu, log_var,
                                                   np.asarray(y, dtype=np.float64))
@@ -385,35 +377,12 @@ class GlmRegressor:
         self.trunk.backward(g_h)
         return loss
 
-    def eval_loss(self, x: np.ndarray, y: np.ndarray,
-                  flow_weight: float = 1.0, disc_weight: float = 1.0) -> float:
-        mu, log_var = self._forward(x)
-        return gaussian_nll_loss(mu, log_var, np.asarray(y, dtype=np.float64))[0]
-
     def params(self) -> list[Param]:
         return self.trunk.params() + self.mean_head.params() + self.log_var_head.params()
 
     def zero_grads(self) -> None:
         for p in self.params():
             p.zero_grad()
-
-
-def cccpde_forward(model: CccpDeModel,
-                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class log-densities and sigmoid scores in one base pass."""
-    return model.forward(x)
-
-
-def joint_loss(model: CccpDeModel, x: np.ndarray, labels: np.ndarray,
-               weights: tuple[float, float] = (1.0, 1.0),
-               rng: Rng | None = None, training: bool = False) -> float:
-    """Weighted ground-truth-head NLL plus sigmoid-head cross entropy.
-
-    Gradients for both arms accumulate into the model parameters, flowing
-    through the shared base.
-    """
-    return model.loss_and_grads(x, labels, rng, training,
-                                flow_weight=weights[0], disc_weight=weights[1])
 
 
 def train(model, dataset: Dataset, config: TrainConfig,

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numerics import LOG_TWO_PI, Rng, matmul
+from .numerics import LOG_TWO_PI, Rng
 
 LEAKY_SLOPE = 0.01
 PROB_CLAMP = 1e-7
@@ -108,7 +108,7 @@ class DenseLayer:
             raise ShapeError(
                 f"dense layer expects (n, {self.in_size}) input, got {x.shape}")
         self._x = x
-        return matmul(x, self.weight.value) + self.bias.value
+        return x @ self.weight.value + self.bias.value
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         x = self._x
@@ -327,31 +327,23 @@ class AdamState:
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
 
-    def apply(self, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
+    def step(self, params: list[Param]) -> None:
+        """One update of every parameter from its accumulated gradient."""
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-        if len(params) != len(self._m) or len(grads) != len(params):
+            self._m = [np.zeros_like(p.value) for p in params]
+            self._v = [np.zeros_like(p.value) for p in params]
+        if len(params) != len(self._m):
             raise ShapeError("parameter group size changed between steps")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            if p.shape != g.shape or p.shape != m.shape:
-                raise ShapeError(f"param shape {p.shape} != grad shape {g.shape}")
+        for p, m, v in zip(params, self._m, self._v):
+            if p.value.shape != m.shape:
+                raise ShapeError(
+                    f"param shape {p.value.shape} != moment shape {m.shape}")
+            g = p.grad
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        return params
-
-    def step(self, params: list[Param]) -> None:
-        self.apply([p.value for p in params], [p.grad for p in params])
-
-
-def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One Adam update; mutates and returns the parameter arrays."""
-    return state.apply(params, grads)
+            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -1,6 +1,5 @@
-"""Deterministic RNG, dense linear algebra helpers, and special functions.
+"""Deterministic RNG and special functions.
 
-Matrices are plain 2-D float64 numpy arrays throughout the package.
 Randomness comes from the xoshiro256** generator below, which produces an
 identical stream on every platform for a given seed; subsystems obtain
 their own streams through `derive_seed`.
@@ -13,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -131,22 +130,6 @@ class Rng:
             j = self.randint_below(i + 1)
             out[i], out[j] = out[j], out[i]
         return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def gaussian_draws(rng: Rng, n: int) -> np.ndarray:
-    """n independent standard-normal variates; n = 0 yields an empty array."""
-    return rng.normals(n)
 
 
 # Lanczos approximation, g = 7, 9 coefficients.

@@ -155,7 +155,7 @@ def test_criterion_03_gradient_oracle():
         lambda v: gaussian_nll_loss(mu, v, target)[0], log_var.copy(), 1e-6)
     worst = max(worst, rel_err(fd_mu, g_mu), rel_err(fd_lv, g_lv))
 
-    from cccpde.model import CccpDeModel, joint_loss
+    from cccpde.model import CccpDeModel
 
     model = CccpDeModel(4, 2, hidden=6, base_depth=2, head_depth=1,
                         disc_blocks=2, dropout_rate=0.0, rng=Rng(7200))
@@ -163,7 +163,8 @@ def test_criterion_03_gradient_oracle():
     yj = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
     def joint_backward():
-        joint_loss(model, xj, yj, weights=(1.0, 1.0), training=True)
+        model.loss_and_grads(xj, yj, training=True, flow_weight=1.0,
+                             disc_weight=1.0)
 
     joint_err = worst_param_grad_err(
         model.params(), joint_backward,
@@ -341,7 +342,7 @@ def test_criterion_11_serialization(separable_bundle, tmp_path):
     probes = Rng(7500).normals(200).reshape(100, 2) * 4.0
     dens_equal = np.array_equal(back.log_densities(probes),
                                 model.log_densities(probes))
-    score_equal = np.array_equal(back.disc_scores(probes),
-                                 model.disc_scores(probes))
+    score_equal = np.array_equal(back.forward(probes)[1],
+                                 model.forward(probes)[1])
     check("criterion 11: save/load reproduces outputs bit-exactly",
           dens_equal and score_equal, "100 probes")

@@ -84,21 +84,21 @@ class TestBetaUpdate:
 class TestPseudoCounts:
     def test_underflow_gives_zero_and_prior_posterior(self):
         counts = pseudo_counts(np.array([-1e9, -800.0]),
-                               np.array([100.0, 100.0]), 0.1).counts
+                               np.array([100.0, 100.0]), 0.1)
         assert np.array_equal(counts, np.zeros(2))
         post = beta_update(BetaPosterior(1.0, 1.0), counts[1], counts[0])
         assert (post.a, post.b) == (1.0, 1.0)
 
     def test_symmetry_keeps_mean_half(self):
         counts = pseudo_counts(np.array([-2.0, -2.0]),
-                               np.array([500.0, 500.0]), 0.2).counts
+                               np.array([500.0, 500.0]), 0.2)
         assert counts[0] == counts[1] > 0
         post = beta_update(BetaPosterior(1.0, 1.0), counts[1], counts[0])
         assert post.mean == pytest.approx(0.5)
 
     def test_scaling(self):
         counts = pseudo_counts(np.array([math.log(0.25)]),
-                               np.array([1000.0]), 0.04).counts
+                               np.array([1000.0]), 0.04)
         assert counts[0] == pytest.approx(0.04 * 1000.0 * 0.25, rel=1e-12)
 
     def test_volume_validated(self):
@@ -112,7 +112,7 @@ class TestPseudoCounts:
         radius = 0.05
         volume = ball_volume(2, radius)
         point = pseudo_counts(stack.log_density(x[None, :]),
-                              np.array([2000.0]), volume).counts[0]
+                              np.array([2000.0]), volume)[0]
         mc = mc_count_estimate(stack.log_density, x, radius, 2000,
                                Rng(40), 2000.0)
         assert 0.5 < mc / point < 2.0

@@ -112,6 +112,18 @@ class TestTrain:
         assert run("train", "--model", "ffnn", "--data",
                    tmp_path / "nope.csv", "--out", tmp_path / "m.bin") == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--hidden", 0, "network sizes must be positive"),
+        ("--head-depth", 0, "network sizes must be positive"),
+        ("--dropout", 1.0, "dropout must lie in"),
+    ], ids=["hidden", "head-depth", "dropout"])
+    def test_invalid_size_is_runtime_error(self, toy_run, tmp_path, capsys,
+                                           flag, value, message):
+        assert run("train", "--model", "cccpde",
+                   "--data", toy_run["data"] / "train.csv",
+                   "--out", tmp_path / "m.bin", flag, value) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestEval:
     def test_outputs_exist_and_parse(self, toy_run):
@@ -134,14 +146,6 @@ class TestEval:
         assert len(rows) == ds.n_rows
         abstain = np.array([int(r.split(",")[-1]) for r in rows])
         assert set(abstain.tolist()) <= {0, 1}
-
-    def test_threads_do_not_change_results(self, toy_run, tmp_path):
-        out = tmp_path / "threaded"
-        assert run("eval", "--model", toy_run["cc"], "--ffnn", toy_run["ffnn"],
-                   "--data", toy_run["data"] / "test.csv", "--out", out,
-                   "--volume", 8.0, "--threads", 3) == 0
-        assert ((out / "reports.csv").read_bytes()
-                == (toy_run["eval"] / "reports.csv").read_bytes())
 
     def test_missing_model_is_runtime_error(self, toy_run, tmp_path):
         assert run("eval", "--model", tmp_path / "nope.bin",

@@ -12,7 +12,6 @@ from cccpde.data import (
     regression_true_std,
     save_csv,
     split,
-    standardize_fit,
 )
 from cccpde.errors import CsvFormatError, DomainError, ShapeError
 
@@ -90,6 +89,13 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f0,f1\n0,1.0,{cell}\n")
+        with pytest.raises(CsvFormatError, match="line 2"):
+            load_csv(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0,2.0\n1,0.5,0.25\n")
@@ -118,7 +124,7 @@ class TestCsv:
 class TestStandardizer:
     def test_fit_apply_normalizes_training_data(self):
         ds = gen_mixture([(0, (5.0, -3.0), 4.0, 500)], seed=13)
-        std = standardize_fit(ds.features)
+        std = Standardizer.fit(ds.features)
         out = std.apply(ds.features)
         assert np.abs(out.mean(axis=0)).max() < 1e-12
         assert np.abs(out.std(axis=0) - 1.0).max() < 1e-12

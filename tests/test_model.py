@@ -17,9 +17,7 @@ from cccpde.model import (
     FfnnModel,
     GlmRegressor,
     TrainConfig,
-    cccpde_forward,
     glm_fit_and_predict,
-    joint_loss,
     load_model,
     save_model,
     train,
@@ -42,21 +40,21 @@ class TestCccpDeForward:
         # same identity transform and all class densities coincide
         model = CccpDeModel(3, 4, hidden=8, rng=Rng(1))
         x = Rng(2).normals(15).reshape(5, 3)
-        log_d, _ = cccpde_forward(model, x)
+        log_d, _ = model.forward(x)
         assert np.abs(log_d - log_d[:, :1]).max() == 0.0
 
     def test_outputs_are_pure(self):
         model = small_model()
         x = Rng(3).normals(32).reshape(8, 4)
-        first = cccpde_forward(model, x)
-        second = cccpde_forward(model, x)
+        first = model.forward(x)
+        second = model.forward(x)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
     def test_finite_for_extreme_inputs(self):
         model = small_model()
         x = np.array([[50.0, -50.0, 25.0, -25.0], [0.0, 0.0, 0.0, 0.0]])
-        log_d, scores = cccpde_forward(model, x)
+        log_d, scores = model.forward(x)
         assert np.all(np.isfinite(log_d))
         assert np.all(np.isfinite(scores))
 
@@ -75,7 +73,7 @@ class TestJointLoss:
         log_d = model.log_densities(x)
         expected_nll = float(-log_d[np.arange(6), y].mean())
         assert flow_only == pytest.approx(expected_nll, rel=1e-12)
-        expected_bce = bce_loss(model.disc_scores(x), y.astype(float))[0]
+        expected_bce = bce_loss(model.forward(x)[1], y.astype(float))[0]
         assert disc_only == pytest.approx(expected_bce, rel=1e-12)
         both = model.eval_loss(x, y, 1.0, 1.0)
         assert both == pytest.approx(flow_only + disc_only, rel=1e-12)
@@ -86,7 +84,8 @@ class TestJointLoss:
         y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
         def run_backward():
-            joint_loss(model, x, y, weights=(1.0, 1.0), training=True)
+            model.loss_and_grads(x, y, training=True, flow_weight=1.0,
+                                 disc_weight=1.0)
 
         def eval_loss():
             return model.eval_loss(x, y, 1.0, 1.0)
@@ -97,7 +96,7 @@ class TestJointLoss:
     def test_label_range_validated(self):
         model = small_model()
         with pytest.raises(DomainError):
-            joint_loss(model, np.zeros((2, 4)), np.array([0, 2]))
+            model.loss_and_grads(np.zeros((2, 4)), np.array([0, 2]))
 
     def test_loss_decreases_over_early_steps(self):
         ds = gen_mixture([(0, (-2.0, 0.0), 0.25, 128),
@@ -234,8 +233,8 @@ class TestSerialization:
         probes = Rng(32).normals(200).reshape(100, 2) * 3.0
         assert np.array_equal(back.log_densities(probes),
                               model.log_densities(probes))
-        assert np.array_equal(back.disc_scores(probes),
-                              model.disc_scores(probes))
+        assert np.array_equal(back.forward(probes)[1],
+                              model.forward(probes)[1])
         assert np.array_equal(back.class_counts, model.class_counts)
 
     def test_ffnn_round_trip(self, tmp_path):

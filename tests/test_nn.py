@@ -11,9 +11,9 @@ from cccpde.nn import (
     DenseLayer,
     LayerNorm,
     MLP,
+    Param,
     activation,
     activation_grad,
-    adam_step,
     bce_loss,
     dropout,
     gaussian_nll_loss,
@@ -203,30 +203,32 @@ class TestLosses:
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         state = AdamState(lr=1e-3)
-        w = np.array([0.5, -0.25])
-        g = np.array([2.0, -3.0])
-        adam_step(state, [w], [g])
+        w = Param(np.array([0.5, -0.25]))
+        w.grad[...] = np.array([2.0, -3.0])
+        state.step([w])
         expected = np.array([0.5 - 1e-3, -0.25 + 1e-3])
-        assert np.abs(w - expected).max() < 1e-3 * 1e-6
+        assert np.abs(w.value - expected).max() < 1e-3 * 1e-6
 
     def test_zero_grad_is_noop(self):
         state = AdamState()
-        w = np.array([1.0, 2.0])
+        w = Param(np.array([1.0, 2.0]))
         for _ in range(5):
-            adam_step(state, [w], [np.zeros(2)])
-        assert np.array_equal(w, np.array([1.0, 2.0]))
+            state.step([w])
+        assert np.array_equal(w.value, np.array([1.0, 2.0]))
 
     def test_converges_on_quadratic(self):
         state = AdamState(lr=0.1)
-        w = np.array([0.0])
+        w = Param(np.array([0.0]))
         for _ in range(200):
-            adam_step(state, [w], [2.0 * (w - 3.0)])
-        assert abs(w[0] - 3.0) < 0.05
+            w.grad[...] = 2.0 * (w.value - 3.0)
+            state.step([w])
+        assert abs(w.value[0] - 3.0) < 0.05
 
     def test_shape_mismatch(self):
         state = AdamState()
+        state.step([Param(np.zeros(3))])
         with pytest.raises(ShapeError):
-            adam_step(state, [np.zeros(3)], [np.zeros(4)])
+            state.step([Param(np.zeros(4))])
 
 
 class TestDenseBlock:

@@ -3,60 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from cccpde.errors import DomainError, NumericError, ShapeError
+from cccpde.errors import DomainError, NumericError
 from cccpde.numerics import (
     Rng,
     derive_seed,
     finite_diff_grad,
-    gaussian_draws,
     log_gamma,
-    matmul,
 )
-
-from helpers import rel_err
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_against_triple_loop(self):
-        rng = Rng(99)
-        a = rng.normals(35).reshape(5, 7)
-        b = rng.normals(21).reshape(7, 3)
-        naive = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    naive[i, j] += a[i, k] * b[k, j]
-        assert np.abs(matmul(a, b) - naive).max() < 1e-12
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(5, 7\).*\(3, 2\)"):
-            matmul(np.zeros((5, 7)), np.zeros((3, 2)))
-
-    def test_associativity(self):
-        rng = Rng(4)
-        for _ in range(10):
-            dims = [1 + rng.randint_below(6) for _ in range(4)]
-            a = rng.normals(dims[0] * dims[1]).reshape(dims[0], dims[1])
-            b = rng.normals(dims[1] * dims[2]).reshape(dims[1], dims[2])
-            c = rng.normals(dims[2] * dims[3]).reshape(dims[2], dims[3])
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert rel_err(left, right) < 1e-9
 
 
 class TestRng:
     def test_same_seed_same_pairs(self):
-        assert np.array_equal(gaussian_draws(Rng(42), 2),
-                              gaussian_draws(Rng(42), 2))
+        assert np.array_equal(Rng(42).normals(2),
+                              Rng(42).normals(2))
 
     def test_streams_reproducible(self):
         assert np.array_equal(Rng(123).uniforms(10_000),
@@ -69,12 +28,12 @@ class TestRng:
                               np.array([b.random() for _ in range(50)]))
 
     def test_normal_moments(self):
-        z = gaussian_draws(Rng(1), 100_000)
+        z = Rng(1).normals(100_000)
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.05
 
     def test_zero_draws_is_empty(self):
-        assert gaussian_draws(Rng(0), 0).size == 0
+        assert Rng(0).normals(0).size == 0
 
     def test_uniform_range(self):
         u = Rng(77).uniforms(10_000)
