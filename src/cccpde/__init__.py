@@ -52,6 +52,7 @@ from .nn import (
     LayerNorm,
     MLP,
     Param,
+    SigmoidHead,
     activation,
     activation_grad,
     bce_loss,

@@ -173,13 +173,12 @@ def _cmd_train(args) -> int:
 
 
 _EVAL_DEFAULTS = {
-    "seed": 0, "threshold": 0.1, "mass": 0.95, "prior_a": 1.0, "prior_b": 1.0,
+    "threshold": 0.1, "mass": 0.95, "prior_a": 1.0, "prior_b": 1.0,
     "base_rate": None, "prior_strength": 2.0, "volume": None,
 }
 _EVAL_TYPES = {
-    "seed": int, "threshold": float, "mass": float, "prior_a": float,
-    "prior_b": float, "base_rate": float, "prior_strength": float,
-    "volume": float,
+    "threshold": float, "mass": float, "prior_a": float, "prior_b": float,
+    "base_rate": float, "prior_strength": float, "volume": float,
 }
 
 
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="test CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--mass", type=float)
     p.add_argument("--prior-a", type=float, dest="prior_a")

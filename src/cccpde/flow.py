@@ -10,6 +10,11 @@ standard-normal draws. Each layer permutes its input, passes the first
 `split` coordinates through unchanged, and affinely transforms the rest
 with scale/shift networks fed by the untouched half; the scale net ends in
 tanh so per-layer stretching stays within a factor of e.
+
+Calling a layer or stack, `layer(x)`, is the pure inference pass and
+stores nothing; `inverse` is pure too. `forward`/`backward` are the
+training pair: `forward` computes what `layer(x)` computes and keeps what
+`backward` needs on the layer.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ class CouplingLayer:
             self.perm = np.arange(dim, dtype=np.int64)
         else:
             self.perm = rng.permutation(dim)
-        self.inv_perm = np.argsort(self.perm)
         out = dim - self.split
         self.scale_net = MLP([self.split, hidden, hidden, out], rng,
                              output_activation="tanh",
@@ -51,13 +55,27 @@ class CouplingLayer:
                              zero_init_last=zero_init_outputs)
         self._cache = None
 
+    @property
+    def inv_perm(self) -> np.ndarray:
+        return np.argsort(self.perm)
+
     def _check(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(
                 f"coupling layer has dim {self.dim}, got input {x.shape}")
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Data -> latent; returns (y, per-row log-det)."""
+        self._check(x)
+        xp = x[:, self.perm]
+        left = xp[:, :self.split]
+        scale = self.scale_net(left)
+        shift = self.shift_net(left)
+        y = np.concatenate([left, xp[:, self.split:] * np.exp(scale) + shift],
+                           axis=1)
+        return y, scale.sum(axis=1)
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._check(x)
         xp = x[:, self.perm]
         left = xp[:, :self.split]
@@ -70,12 +88,12 @@ class CouplingLayer:
         return y, scale.sum(axis=1)
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        """Exact algebraic inverse of forward (clobbers forward caches)."""
+        """Exact algebraic inverse of the data -> latent map."""
         self._check(y)
         left = y[:, :self.split]
         right = y[:, self.split:]
-        scale = self.scale_net.forward(left)
-        shift = self.shift_net.forward(left)
+        scale = self.scale_net(left)
+        shift = self.shift_net(left)
         xp = np.concatenate([left, (right - shift) * np.exp(-scale)], axis=1)
         return xp[:, self.inv_perm]
 
@@ -118,6 +136,16 @@ class FlowStack:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(f"stack has dim {self.dim}, got input {x.shape}")
 
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Data -> latent; returns (z, summed per-row log-det)."""
+        self._check(x)
+        log_det = np.zeros(x.shape[0])
+        h = x
+        for layer in self.layers:
+            h, ld = layer(h)
+            log_det += ld
+        return h, log_det
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._check(x)
         log_det = np.zeros(x.shape[0])
@@ -144,7 +172,7 @@ class FlowStack:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Per-row log p(x) under the unit-Gaussian latent."""
-        z, log_det = self.forward(x)
+        z, log_det = self(x)
         return gaussian_logpdf(z) + log_det
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:

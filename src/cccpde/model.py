@@ -20,14 +20,13 @@ import numpy as np
 
 from .data import Dataset, Standardizer
 from .errors import DomainError, ModelFormatError, ShapeError
-from .flow import CouplingLayer, FlowStack, gaussian_logpdf
+from .flow import FlowStack, gaussian_logpdf
 from .nn import (
     AdamState,
-    DenseBlock,
     DenseLayer,
     MLP,
     Param,
-    activation,
+    SigmoidHead,
     bce_loss,
     gaussian_nll_loss,
 )
@@ -77,54 +76,36 @@ class FfnnModel:
         self.hidden = hidden
         self.n_blocks = n_blocks
         self.dropout_rate = dropout_rate
-        sizes = [dim] + [hidden] * n_blocks
-        self.blocks = [
-            DenseBlock(sizes[i], sizes[i + 1], dropout_rate, rng)
-            for i in range(n_blocks)
-        ]
-        self.out = DenseLayer(hidden, 1, rng)
+        self.head = SigmoidHead(dim, hidden, n_blocks, dropout_rate, rng)
         self.standardizer: Standardizer | None = None
 
     def _model_space(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         return self.standardizer.apply(x) if self.standardizer else x
-
-    def _forward(self, x: np.ndarray, rng: Rng | None,
-                 training: bool) -> tuple[np.ndarray, np.ndarray]:
-        h = self._model_space(np.asarray(x, dtype=np.float64))
-        for block in self.blocks:
-            h = block.forward(h, rng, training)
-        logits = self.out.forward(h).ravel()
-        return activation("sigmoid", logits), logits
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Positive-class probabilities, deterministic inference pass."""
-        return self._forward(x, None, False)[0]
+        return self.head(self._model_space(x))
 
     # this model ignores the loss weights; `train` passes them to both kinds
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
                        rng: Rng | None = None, training: bool = True,
                        flow_weight: float = 1.0,
                        disc_weight: float = 1.0) -> float:
-        p, _ = self._forward(x, rng, training)
-        loss, grad_p = bce_loss(p, np.asarray(y, dtype=np.float64))
-        g = (grad_p * p * (1.0 - p))[:, None]
-        g = self.out.backward(g)
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        return loss
+        return self.head.loss_and_grads(self._model_space(x), y, rng,
+                                        training)[0]
 
     def eval_loss(self, x: np.ndarray, y: np.ndarray,
                   flow_weight: float = 1.0, disc_weight: float = 1.0) -> float:
-        p, _ = self._forward(x, None, False)
-        return bce_loss(p, np.asarray(y, dtype=np.float64))[0]
+        return bce_loss(self.score(x), y)[0]
 
     def params(self) -> list[Param]:
-        out = [p for block in self.blocks for p in block.params()]
-        return out + self.out.params()
+        return self.head.params()
 
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
+    def state_arrays(self) -> list:
+        """Stored arrays in file order, mapped to the live arrays."""
+        return (_sigmoid_head_arrays("block", "out", self.head)
+                + _standardizer_arrays(self.standardizer))
 
     def to_state(self) -> tuple[dict, list]:
         meta = {
@@ -132,26 +113,13 @@ class FfnnModel:
             "dropout": self.dropout_rate,
             "has_standardizer": 1.0 if self.standardizer else 0.0,
         }
-        arrays = []
-        for i, block in enumerate(self.blocks):
-            arrays += _dense_block_arrays(f"block/{i}", block)
-        arrays += [("out/weight", self.out.weight.value),
-                   ("out/bias", self.out.bias.value)]
-        arrays += _standardizer_arrays(self.standardizer)
-        return meta, arrays
+        return meta, self.state_arrays()
 
     @classmethod
     def from_state(cls, meta: dict, arrays: list) -> "FfnnModel":
         model = cls(int(meta["dim"]), int(meta["hidden"]),
                     int(meta["n_blocks"]), float(meta["dropout"]), rng=None)
-        get = _array_getter(arrays)
-        for i, block in enumerate(model.blocks):
-            _assign_dense_block(f"block/{i}", block, get)
-        _assign_param(model.out.weight, get("out/weight"), "out/weight")
-        _assign_param(model.out.bias, get("out/bias"), "out/bias")
-        model.standardizer = _restore_standardizer(meta, get)
-        get.finish()
-        return model
+        return _fill(model, meta, arrays)
 
 
 class CccpDeModel:
@@ -176,12 +144,7 @@ class CccpDeModel:
         self.base = FlowStack.build(dim, base_depth, hidden, rng)
         self.heads = [FlowStack.build(dim, head_depth, hidden, rng)
                       for _ in range(n_classes)]
-        sizes = [dim] + [hidden] * disc_blocks
-        self.disc_blocks = [
-            DenseBlock(sizes[i], sizes[i + 1], dropout_rate, rng)
-            for i in range(disc_blocks)
-        ]
-        self.disc_out = DenseLayer(hidden, 1, rng)
+        self.disc = SigmoidHead(dim, hidden, disc_blocks, dropout_rate, rng)
         self.dropout_rate = dropout_rate
         self.class_counts = np.zeros(n_classes)
         self.class_priors = np.full(n_classes, 1.0 / n_classes)
@@ -195,24 +158,15 @@ class CccpDeModel:
             return x, 0.0
         return self.standardizer.apply(x), self.standardizer.log_volume_scale
 
-    def _disc_forward(self, base_out: np.ndarray, rng: Rng | None,
-                      training: bool) -> tuple[np.ndarray, np.ndarray]:
-        h = base_out
-        for block in self.disc_blocks:
-            h = block.forward(h, rng, training)
-        logits = self.disc_out.forward(h).ravel()
-        return activation("sigmoid", logits), logits
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-class log-densities (n, M) and sigmoid scores (n,)."""
         xs, correction = self._model_space(x)
-        base_out, log_det_base = self.base.forward(xs)
+        base_out, log_det_base = self.base(xs)
         log_d = np.empty((xs.shape[0], self.n_classes))
         for k, head in enumerate(self.heads):
-            z, log_det_head = head.forward(base_out)
+            z, log_det_head = head(base_out)
             log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
-        scores, _ = self._disc_forward(base_out, None, False)
-        return log_d + correction, scores
+        return log_d + correction, self.disc(base_out)
 
     def log_densities(self, x: np.ndarray) -> np.ndarray:
         """Per-class log-densities in raw input space."""
@@ -223,8 +177,7 @@ class CccpDeModel:
         if not 0 <= class_index < self.n_classes:
             raise DomainError(
                 f"class index {class_index} out of range [0, {self.n_classes})")
-        z = rng.normals(n * self.dim).reshape(n, self.dim)
-        xs = self.base.inverse(self.heads[class_index].inverse(z))
+        xs = self.base.inverse(self.heads[class_index].sample(rng, n))
         return self.standardizer.inverse(xs) if self.standardizer else xs
 
     # -- training ----------------------------------------------------------
@@ -256,14 +209,9 @@ class CccpDeModel:
             g_z = (flow_weight / n) * z
             g_log_det = np.full(rows.size, -flow_weight / n)
             g_base_out[rows] += head.backward(g_z, g_log_det)
-        p, _ = self._disc_forward(base_out, rng, training)
-        disc_loss, grad_p = bce_loss(p, labels.astype(np.float64))
-        g = (disc_weight * grad_p * p * (1.0 - p))[:, None]
-        g = self.disc_out.backward(g)
-        for block in reversed(self.disc_blocks):
-            g = block.backward(g)
-        g_base_out += g
-        self.base.backward(g_base_out, np.full(n, -flow_weight / n))
+        disc_loss, g_disc = self.disc.loss_and_grads(base_out, labels, rng,
+                                                     training, disc_weight)
+        self.base.backward(g_base_out + g_disc, np.full(n, -flow_weight / n))
         return flow_weight * flow_nll / n + disc_weight * disc_loss
 
     def eval_loss(self, x: np.ndarray, labels: np.ndarray,
@@ -271,15 +219,14 @@ class CccpDeModel:
         labels = self._check_labels(labels)
         xs, _ = self._model_space(x)
         n = xs.shape[0]
-        base_out, log_det_base = self.base.forward(xs)
+        base_out, log_det_base = self.base(xs)
         flow_nll = 0.0
         for k in np.unique(labels):
             rows = np.nonzero(labels == k)[0]
-            z, log_det_head = self.heads[k].forward(base_out[rows])
+            z, log_det_head = self.heads[k](base_out[rows])
             log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
             flow_nll -= float(log_p.sum())
-        p, _ = self._disc_forward(base_out, None, False)
-        disc_loss, _ = bce_loss(p, labels.astype(np.float64))
+        disc_loss, _ = bce_loss(self.disc(base_out), labels)
         return flow_weight * flow_nll / n + disc_weight * disc_loss
 
     def record_class_stats(self, labels: np.ndarray) -> None:
@@ -292,36 +239,30 @@ class CccpDeModel:
         out = self.base.params()
         for head in self.heads:
             out += head.params()
-        for block in self.disc_blocks:
-            out += block.params()
-        return out + self.disc_out.params()
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
+        return out + self.disc.params()
 
     # -- persistence ---------------------------------------------------------
+
+    def state_arrays(self) -> list:
+        """Stored arrays in file order, mapped to the live arrays."""
+        out = [("class_counts", self.class_counts),
+               ("class_priors", self.class_priors)]
+        out += _flow_stack_arrays("base", self.base)
+        for k, head in enumerate(self.heads):
+            out += _flow_stack_arrays(f"head{k}", head)
+        out += _sigmoid_head_arrays("disc", "disc/out", self.disc)
+        return out + _standardizer_arrays(self.standardizer)
 
     def to_state(self) -> tuple[dict, list]:
         meta = {
             "dim": self.dim, "n_classes": self.n_classes, "hidden": self.hidden,
             "base_depth": len(self.base.layers),
             "head_depth": len(self.heads[0].layers),
-            "disc_blocks": len(self.disc_blocks),
+            "disc_blocks": len(self.disc.blocks),
             "dropout": self.dropout_rate,
             "has_standardizer": 1.0 if self.standardizer else 0.0,
         }
-        arrays = [("class_counts", self.class_counts),
-                  ("class_priors", self.class_priors)]
-        arrays += _flow_stack_arrays("base", self.base)
-        for k, head in enumerate(self.heads):
-            arrays += _flow_stack_arrays(f"head{k}", head)
-        for i, block in enumerate(self.disc_blocks):
-            arrays += _dense_block_arrays(f"disc/{i}", block)
-        arrays += [("disc/out/weight", self.disc_out.weight.value),
-                   ("disc/out/bias", self.disc_out.bias.value)]
-        arrays += _standardizer_arrays(self.standardizer)
-        return meta, arrays
+        return meta, self.state_arrays()
 
     @classmethod
     def from_state(cls, meta: dict, arrays: list) -> "CccpDeModel":
@@ -329,19 +270,7 @@ class CccpDeModel:
                     int(meta["hidden"]), int(meta["base_depth"]),
                     int(meta["head_depth"]), int(meta["disc_blocks"]),
                     float(meta["dropout"]), rng=None)
-        get = _array_getter(arrays)
-        model.class_counts = get("class_counts").astype(np.float64)
-        model.class_priors = get("class_priors").astype(np.float64)
-        _assign_flow_stack("base", model.base, get)
-        for k, head in enumerate(model.heads):
-            _assign_flow_stack(f"head{k}", head, get)
-        for i, block in enumerate(model.disc_blocks):
-            _assign_dense_block(f"disc/{i}", block, get)
-        _assign_param(model.disc_out.weight, get("disc/out/weight"), "disc/out/weight")
-        _assign_param(model.disc_out.bias, get("disc/out/bias"), "disc/out/bias")
-        model.standardizer = _restore_standardizer(meta, get)
-        get.finish()
-        return model
+        return _fill(model, meta, arrays)
 
 
 class GlmRegressor:
@@ -359,17 +288,18 @@ class GlmRegressor:
         # zero-init keeps the initial variance at 1 while the mean settles
         self.log_var_head = DenseLayer(hidden, 1, zero_init=True)
 
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = self.trunk.forward(np.asarray(x, dtype=np.float64).reshape(-1, self.dim))
-        return self.mean_head.forward(h).ravel(), self.log_var_head.forward(h).ravel()
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64).reshape(-1, self.dim)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-point mean and standard deviation."""
-        mu, log_var = self._forward(x)
-        return mu, np.exp(0.5 * log_var)
+        h = self.trunk(self._rows(x))
+        return self.mean_head(h).ravel(), np.exp(0.5 * self.log_var_head(h).ravel())
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> float:
-        mu, log_var = self._forward(x)
+        h = self.trunk.forward(self._rows(x))
+        mu = self.mean_head.forward(h).ravel()
+        log_var = self.log_var_head.forward(h).ravel()
         loss, g_mu, g_log_var = gaussian_nll_loss(mu, log_var,
                                                   np.asarray(y, dtype=np.float64))
         g_h = self.mean_head.backward(g_mu[:, None])
@@ -379,10 +309,6 @@ class GlmRegressor:
 
     def params(self) -> list[Param]:
         return self.trunk.params() + self.mean_head.params() + self.log_var_head.params()
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
 
 
 def train(model, dataset: Dataset, config: TrainConfig,
@@ -408,7 +334,8 @@ def train(model, dataset: Dataset, config: TrainConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            model.zero_grads()
+            for p in params:
+                p.zero_grad()
             model.loss_and_grads(features[idx], labels[idx], rng=rng,
                                  training=True,
                                  flow_weight=config.flow_weight,
@@ -436,7 +363,8 @@ def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            model.zero_grads()
+            for p in params:
+                p.zero_grad()
             model.loss_and_grads(x[idx], y[idx])
             adam.step(params)
     mu, sigma = model.predict(x)
@@ -463,30 +391,30 @@ def load_model(path):
     return cls.from_state(meta, arrays)
 
 
-class _array_getter:
-    def __init__(self, arrays: list):
-        self._store = {}
-        for name, arr in arrays:
-            if name in self._store:
-                raise ModelFormatError(f"duplicate array {name!r}")
-            self._store[name] = arr
-
-    def __call__(self, name: str) -> np.ndarray:
-        if name not in self._store:
+def _fill(model, meta: dict, arrays: list):
+    """Copy a model file's arrays into a freshly built model, checking each."""
+    if meta.get("has_standardizer"):
+        model.standardizer = Standardizer(np.zeros(model.dim), np.ones(model.dim))
+    stored = {}
+    for name, arr in arrays:
+        if name in stored:
+            raise ModelFormatError(f"duplicate array {name!r}")
+        stored[name] = arr
+    for name, live in model.state_arrays():
+        if name not in stored:
             raise ModelFormatError(f"model file is missing array {name!r}")
-        return self._store.pop(name)
-
-    def finish(self) -> None:
-        if self._store:
+        arr = stored.pop(name)
+        if arr.shape != live.shape:
             raise ModelFormatError(
-                f"model file has unexpected arrays: {sorted(self._store)}")
-
-
-def _assign_param(param: Param, arr: np.ndarray, name: str) -> None:
-    if arr.shape != param.value.shape:
+                f"array {name!r} has shape {arr.shape}, expected {live.shape}")
+        if name.endswith("/perm") and sorted(arr.tolist()) != list(range(arr.size)):
+            raise ModelFormatError(
+                f"array {name} is not a permutation of range({arr.size})")
+        live[...] = arr
+    if stored:
         raise ModelFormatError(
-            f"array {name!r} has shape {arr.shape}, expected {param.value.shape}")
-    param.value[...] = arr
+            f"model file has unexpected arrays: {sorted(stored)}")
+    return model
 
 
 def _mlp_arrays(prefix: str, net: MLP) -> list:
@@ -495,12 +423,6 @@ def _mlp_arrays(prefix: str, net: MLP) -> list:
         out.append((f"{prefix}/{j}/weight", layer.weight.value))
         out.append((f"{prefix}/{j}/bias", layer.bias.value))
     return out
-
-
-def _assign_mlp(prefix: str, net: MLP, get) -> None:
-    for j, layer in enumerate(net.layers):
-        _assign_param(layer.weight, get(f"{prefix}/{j}/weight"), f"{prefix}/{j}/weight")
-        _assign_param(layer.bias, get(f"{prefix}/{j}/bias"), f"{prefix}/{j}/bias")
 
 
 def _flow_stack_arrays(prefix: str, stack: FlowStack) -> list:
@@ -512,36 +434,18 @@ def _flow_stack_arrays(prefix: str, stack: FlowStack) -> list:
     return out
 
 
-def _assign_flow_stack(prefix: str, stack: FlowStack, get) -> None:
-    for i, layer in enumerate(stack.layers):
-        perm = get(f"{prefix}/{i}/perm").astype(np.int64)
-        if sorted(perm.tolist()) != list(range(layer.dim)):
-            raise ModelFormatError(
-                f"array {prefix}/{i}/perm is not a permutation of range({layer.dim})")
-        layer.perm = perm
-        layer.inv_perm = np.argsort(perm)
-        _assign_mlp(f"{prefix}/{i}/scale", layer.scale_net, get)
-        _assign_mlp(f"{prefix}/{i}/shift", layer.shift_net, get)
-
-
-def _dense_block_arrays(prefix: str, block: DenseBlock) -> list:
-    return [
-        (f"{prefix}/dense/weight", block.dense.weight.value),
-        (f"{prefix}/dense/bias", block.dense.bias.value),
-        (f"{prefix}/norm/gain", block.norm.gain.value),
-        (f"{prefix}/norm/bias", block.norm.bias.value),
-    ]
-
-
-def _assign_dense_block(prefix: str, block: DenseBlock, get) -> None:
-    _assign_param(block.dense.weight, get(f"{prefix}/dense/weight"),
-                  f"{prefix}/dense/weight")
-    _assign_param(block.dense.bias, get(f"{prefix}/dense/bias"),
-                  f"{prefix}/dense/bias")
-    _assign_param(block.norm.gain, get(f"{prefix}/norm/gain"),
-                  f"{prefix}/norm/gain")
-    _assign_param(block.norm.bias, get(f"{prefix}/norm/bias"),
-                  f"{prefix}/norm/bias")
+def _sigmoid_head_arrays(block_prefix: str, out_prefix: str,
+                         head: SigmoidHead) -> list:
+    out = []
+    for i, block in enumerate(head.blocks):
+        out += [
+            (f"{block_prefix}/{i}/dense/weight", block.dense.weight.value),
+            (f"{block_prefix}/{i}/dense/bias", block.dense.bias.value),
+            (f"{block_prefix}/{i}/norm/gain", block.norm.gain.value),
+            (f"{block_prefix}/{i}/norm/bias", block.norm.bias.value),
+        ]
+    return out + [(f"{out_prefix}/weight", head.out.weight.value),
+                  (f"{out_prefix}/bias", head.out.bias.value)]
 
 
 def _standardizer_arrays(standardizer: Standardizer | None) -> list:
@@ -549,13 +453,6 @@ def _standardizer_arrays(standardizer: Standardizer | None) -> list:
         return []
     return [("standardizer/mean", standardizer.mean),
             ("standardizer/std", standardizer.std)]
-
-
-def _restore_standardizer(meta: dict, get) -> Standardizer | None:
-    if not meta.get("has_standardizer"):
-        return None
-    return Standardizer(get("standardizer/mean").astype(np.float64),
-                        get("standardizer/std").astype(np.float64))
 
 
 _KIND_CLASSES[1] = FfnnModel

@@ -1,8 +1,11 @@
 """Trainable dense-network pieces: layers, activations, losses, Adam.
 
-Forward and backward passes are explicit; every backward pass is checked
-against central differences in the test suite. Layers accumulate parameter
-gradients, so callers zero them before each optimizer step.
+Calling a layer, `layer(x)`, is the pure inference pass: it returns the
+output and stores nothing. `forward`/`backward` are the training pair:
+`forward` computes the same output and keeps what `backward` needs on the
+layer, and `backward` is valid only right after it. Every backward pass is
+checked against central differences in the test suite. Layers accumulate
+parameter gradients, so callers zero them before each optimizer step.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def glorot_uniform(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class DenseLayer:
-    """x @ W + b with the input cached for the backward pass."""
+    """x @ W + b; `forward` caches the input for the backward pass."""
 
     def __init__(self, in_size: int, out_size: int, rng: Rng | None = None,
                  zero_init: bool = False):
@@ -103,12 +106,15 @@ class DenseLayer:
         self.bias = Param(np.zeros(out_size))
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_size:
             raise ShapeError(
                 f"dense layer expects (n, {self.in_size}) input, got {x.shape}")
-        self._x = x
         return x @ self.weight.value + self.bias.value
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
+        return self(x)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         x = self._x
@@ -129,13 +135,19 @@ class LayerNorm:
         self.bias = Param(np.zeros(dim))
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)  # population variance
         inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-        xhat = (x - mean) * inv
-        self._cache = (xhat, inv)
-        return xhat * self.gain.value + self.bias.value
+        return (x - mean) * inv, inv
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._standardize(x)[0] * self.gain.value + self.bias.value
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = self._standardize(x)  # (xhat, inv)
+        return self._cache[0] * self.gain.value + self.bias.value
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         xhat, inv = self._cache
@@ -201,6 +213,10 @@ class DenseBlock:
         self.activation_tag = activation_tag
         self._cache = None
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Inference mode: no dropout."""
+        return activation(self.activation_tag, self.norm(self.dense(x)))
+
     def forward(self, x: np.ndarray, rng: Rng | None = None,
                 training: bool = False) -> np.ndarray:
         if training and self.dropout_rate > 0.0:
@@ -251,6 +267,12 @@ class MLP:
         return self.output_activation if i == len(self.layers) - 1 \
             else self.hidden_activation
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        h = x
+        for i, layer in enumerate(self.layers):
+            h = activation(self._tag(i), layer(h))
+        return h
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         pres = []
         h = x
@@ -270,6 +292,45 @@ class MLP:
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
+
+
+class SigmoidHead:
+    """Dense blocks, then a dense layer to one logit, then a sigmoid."""
+
+    def __init__(self, in_size: int, hidden: int, n_blocks: int,
+                 dropout_rate: float, rng: Rng | None = None):
+        sizes = [in_size] + [hidden] * n_blocks
+        self.blocks = [
+            DenseBlock(sizes[i], sizes[i + 1], dropout_rate, rng)
+            for i in range(n_blocks)
+        ]
+        self.out = DenseLayer(hidden, 1, rng)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Per-row probabilities, inference mode."""
+        h = x
+        for block in self.blocks:
+            h = block(h)
+        return activation("sigmoid", self.out(h).ravel())
+
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, rng: Rng | None,
+                       training: bool,
+                       weight: float = 1.0) -> tuple[float, np.ndarray]:
+        """BCE against labels y; accumulates the parameter gradients of
+        weight * BCE and returns (BCE, gradient of weight * BCE wrt x)."""
+        h = x
+        for block in self.blocks:
+            h = block.forward(h, rng, training)
+        p = activation("sigmoid", self.out.forward(h).ravel())
+        loss, grad_p = bce_loss(p, y)
+        g = self.out.backward((weight * grad_p * p * (1.0 - p))[:, None])
+        for block in reversed(self.blocks):
+            g = block.backward(g)
+        return loss, g
+
+    def params(self) -> list[Param]:
+        out = [p for block in self.blocks for p in block.params()]
+        return out + self.out.params()
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

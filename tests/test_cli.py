@@ -147,6 +147,14 @@ class TestEval:
         abstain = np.array([int(r.split(",")[-1]) for r in rows])
         assert set(abstain.tolist()) <= {0, 1}
 
+    def test_seed_is_usage_error(self, toy_run, tmp_path):
+        # eval draws no random numbers, so it takes no --seed
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--model", toy_run["cc"],
+                "--data", toy_run["data"] / "test.csv",
+                "--out", tmp_path / "e", "--seed", 1)
+        assert exc.value.code == 2
+
     def test_missing_model_is_runtime_error(self, toy_run, tmp_path):
         assert run("eval", "--model", tmp_path / "nope.bin",
                    "--data", toy_run["data"] / "test.csv",
@@ -164,6 +172,10 @@ class TestSampleAndGrid:
         assert set(ds.labels.tolist()) == {1}
         model = load_model(toy_run["cc"])
         assert np.all(np.isfinite(model.log_densities(ds.features)[:, 1]))
+
+    def test_sample_zero_count_is_runtime_error(self, toy_run, tmp_path):
+        assert run("sample", "--model", toy_run["cc"], "--count", 0,
+                   "--out", tmp_path / "s.csv") == 1
 
     def test_sample_class_out_of_range(self, toy_run, tmp_path):
         assert run("sample", "--model", toy_run["cc"], "--class-index", 7,

@@ -178,3 +178,30 @@ class TestFlowGradients:
         z, _ = stack.forward(x)
         g = stack.backward(z / n, np.full(n, -1.0 / n))
         assert rel_err(fd, g) < 1e-5
+
+
+class TestStatelessInference:
+    def test_pure_calls_between_forward_and_backward(self):
+        layer = random_coupling(4, 8, Rng(98))
+        xa = Rng(99).normals(24).reshape(6, 4)
+        xb = Rng(100).normals(40).reshape(10, 4)
+        g_y = Rng(101).normals(24).reshape(6, 4)
+        g_log_det = Rng(102).normals(6)
+
+        def gradients(interleave):
+            for p in layer.params():
+                p.zero_grad()
+            y, log_det = layer.forward(xa)
+            if interleave:
+                yb, _ = layer(xb)
+                layer.inverse(yb)
+                assert np.array_equal(layer(xa)[0], y)
+                assert np.array_equal(layer(xa)[1], log_det)
+            g_x = layer.backward(g_y, g_log_det)
+            return g_x, [p.grad.copy() for p in layer.params()]
+
+        g_ref, params_ref = gradients(False)
+        g_x, params = gradients(True)
+        assert np.array_equal(g_x, g_ref)
+        for got, want in zip(params, params_ref):
+            assert np.array_equal(got, want)

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from cccpde.model import (
 )
 from cccpde.nn import AdamState, bce_loss
 from cccpde.numerics import Rng, derive_seed
+from cccpde.serialize import read_state, write_state
 
 from helpers import rel_err, worst_param_grad_err
 
@@ -61,6 +65,25 @@ class TestCccpDeForward:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             small_model(dim=4).forward(np.zeros((2, 3)))
+
+
+class TestStatelessInference:
+    def test_forward_holds_no_row_state(self):
+        # the quick-start architecture on a 150 x 150 density grid's rows
+        model = CccpDeModel(2, 2, head_depth=2, rng=Rng(5))
+        x = Rng(6).normals(2 * 22_500).reshape(22_500, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log_d, scores = model.forward(x)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mib = 2.0 ** 20
+        # the returned arrays alone take about 0.5 MiB
+        assert (after - before) / mib < 1.0
+        assert (peak - before) / mib < 128.0
+        assert log_d.shape == (22_500, 2) and scores.shape == (22_500,)
 
 
 class TestJointLoss:
@@ -279,3 +302,58 @@ class TestSerialization:
         path.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+class TestLoaderChecks:
+    """Model files that write_state accepts but the loader must refuse."""
+
+    @staticmethod
+    def stored(tmp_path):
+        model = small_model(dim=2, seed=38)
+        model.standardizer = Standardizer(np.array([1.0, -1.0]),
+                                          np.array([2.0, 0.5]))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        return path, read_state(path)
+
+    def rewrite_and_load(self, path, kind, meta, arrays):
+        write_state(path, kind, meta, arrays)
+        return load_model(path)
+
+    def test_untouched_file_loads(self, tmp_path):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        model = self.rewrite_and_load(path, kind, meta, arrays)
+        assert np.array_equal(model.standardizer.std, [2.0, 0.5])
+
+    def test_missing_array(self, tmp_path):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        arrays = [(n, a) for n, a in arrays if n != "disc/out/bias"]
+        with pytest.raises(ModelFormatError, match=re.escape("disc/out/bias")):
+            self.rewrite_and_load(path, kind, meta, arrays)
+
+    def test_extra_array(self, tmp_path):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        arrays.append(("disc/out/extra", np.zeros(3)))
+        with pytest.raises(ModelFormatError, match=re.escape("disc/out/extra")):
+            self.rewrite_and_load(path, kind, meta, arrays)
+
+    def test_duplicate_array(self, tmp_path):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        arrays.append(arrays[3])
+        with pytest.raises(ModelFormatError, match=re.escape(arrays[3][0])):
+            self.rewrite_and_load(path, kind, meta, arrays)
+
+    def test_wrong_shape(self, tmp_path):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        name = "base/1/scale/0/weight"
+        arrays = [(n, a[:, :-1] if n == name else a) for n, a in arrays]
+        with pytest.raises(ModelFormatError, match=re.escape(name)):
+            self.rewrite_and_load(path, kind, meta, arrays)
+
+    def test_perm_not_a_permutation(self, tmp_path):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        name = "head1/0/perm"
+        arrays = [(n, np.zeros(2, dtype=np.int64) if n == name else a)
+                  for n, a in arrays]
+        with pytest.raises(ModelFormatError, match=re.escape(name)):
+            self.rewrite_and_load(path, kind, meta, arrays)

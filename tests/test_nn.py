@@ -12,6 +12,7 @@ from cccpde.nn import (
     LayerNorm,
     MLP,
     Param,
+    SigmoidHead,
     activation,
     activation_grad,
     bce_loss,
@@ -271,6 +272,53 @@ class TestDenseBlock:
         block.forward(x, Rng(99), training=True)  # same rng state, same mask
         assert np.array_equal(block._cache[0], mask)
         g = block.backward(weights)
+        assert rel_err(fd, g) < 1e-5
+
+
+class TestInferenceCall:
+    """`layer(x)` is the training forward's output, and stores nothing."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: DenseLayer(3, 5, rng),
+        lambda rng: LayerNorm(3),
+        lambda rng: MLP([3, 6, 6, 2], rng, output_activation="tanh"),
+        lambda rng: DenseBlock(3, 5, 0.3, rng),
+    ])
+    def test_call_equals_forward_and_keeps_caches(self, make):
+        layer = make(Rng(62))
+        x = Rng(63).normals(12).reshape(4, 3)
+        out = layer.forward(x)
+        upstream = Rng(64).normals(out.size).reshape(out.shape)
+        g_ref = layer.backward(upstream)
+        layer.forward(x)
+        assert np.array_equal(layer(x), out)
+        layer(Rng(65).normals(21).reshape(7, 3))
+        assert np.array_equal(layer.backward(upstream), g_ref)
+
+
+class TestSigmoidHead:
+    def test_loss_is_bce_of_call(self):
+        head = SigmoidHead(3, 5, 2, 0.2, Rng(66))
+        x = Rng(67).normals(18).reshape(6, 3)
+        y = np.array([0, 1, 1, 0, 1, 0])
+        loss, _ = head.loss_and_grads(x, y, None, False)
+        assert loss == bce_loss(head(x), y)[0]
+
+    def test_gradients_match_finite_differences(self):
+        head = SigmoidHead(3, 5, 2, 0.0, Rng(68))
+        x = Rng(69).normals(18).reshape(6, 3)
+        y = np.array([0, 1, 1, 0, 1, 0])
+        weight = 0.7
+
+        def loss(v=x):
+            return weight * bce_loss(head(v), y)[0]
+
+        assert worst_param_grad_err(
+            head.params(),
+            lambda: head.loss_and_grads(x, y, None, True, weight),
+            loss) < 1e-5
+        fd = finite_diff_grad(loss, x.copy(), 1e-6)
+        _, g = head.loss_and_grads(x, y, None, True, weight)
         assert rel_err(fd, g) < 1e-5
 
 
