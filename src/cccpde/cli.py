@@ -5,7 +5,10 @@ Subcommands cover the full pipeline: synthetic data generation, training
 artifacts, generative sampling, density-grid export, and the 1-D
 heteroscedastic regression demo.
 
-Settings resolve in three layers: built-in defaults, then a flat
+Each subcommand declares its settings once, in a table of
+`key: (default, type)`; every key is both a `--key-name` flag (a bool
+setting, on by default, is turned off by `--no-key-name`) and a config
+key. Settings resolve in three layers: built-in defaults, then a flat
 `key = value` config file (`#` starts a comment), then explicit flags.
 Every run writes its fully resolved configuration next to its outputs.
 All randomness flows from one root seed, split per subsystem by fixed
@@ -74,19 +77,19 @@ def _convert(key: str, value: str, kind):
             f"config key {key!r} needs a {kind.__name__}, got {value!r}") from None
 
 
-def _resolve(args, defaults: dict, types: dict) -> dict:
+def _resolve(args) -> dict:
     """Defaults, overridden by config file, overridden by explicit flags."""
-    file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _parse_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
+    for key, (default, kind) in args.settings.items():
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
         elif key in file_cfg:
-            resolved[key] = _convert(key, file_cfg[key], types[key])
+            resolved[key] = _convert(key, file_cfg[key], kind)
         else:
             resolved[key] = default
-    unknown = set(file_cfg) - set(defaults)
+    unknown = set(file_cfg) - set(args.settings)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     return resolved
@@ -103,12 +106,12 @@ def _write_config_log(path, resolved: dict, extra: dict | None = None) -> None:
 
 # -- subcommands ---------------------------------------------------------------
 
-_GEN_DEFAULTS = {"seed": 0, "train_size": 4000, "test_size": 4000}
-_GEN_TYPES = {"seed": int, "train_size": int, "test_size": int}
+_GEN_SETTINGS = {"seed": (0, int), "train_size": (4000, int),
+                 "test_size": (4000, int)}
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _resolve(args, _GEN_DEFAULTS, _GEN_TYPES)
+    cfg = _resolve(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datasets = preset_datasets(args.preset, cfg["seed"],
@@ -121,39 +124,32 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "seed": 0, "epochs": 30, "batch_size": 128, "learning_rate": 1e-3,
-    "hidden": 64, "base_depth": 3, "head_depth": 1, "disc_blocks": 3,
-    "ffnn_blocks": 4, "dropout": 0.05, "flow_weight": 1.0,
-    "disc_weight": 1.0, "standardize": True,
-}
-_TRAIN_TYPES = {
-    "seed": int, "epochs": int, "batch_size": int, "learning_rate": float,
-    "hidden": int, "base_depth": int, "head_depth": int, "disc_blocks": int,
-    "ffnn_blocks": int, "dropout": float, "flow_weight": float,
-    "disc_weight": float, "standardize": bool,
+_TRAIN_SETTINGS = {
+    "seed": (0, int), "epochs": (30, int), "batch_size": (128, int),
+    "learning_rate": (1e-3, float), "hidden": (64, int),
+    "base_depth": (3, int), "head_depth": (1, int), "disc_blocks": (3, int),
+    "ffnn_blocks": (4, int), "dropout": (0.05, float),
+    "flow_weight": (1.0, float), "disc_weight": (1.0, float),
+    "standardize": (True, bool),
 }
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve(args, _TRAIN_DEFAULTS, _TRAIN_TYPES)
+    cfg = _resolve(args)
     dataset = load_csv(args.data)
     config = TrainConfig(
         epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"], hidden=cfg["hidden"],
-        base_depth=cfg["base_depth"], head_depth=cfg["head_depth"],
-        disc_blocks=cfg["disc_blocks"],
-        ffnn_blocks=cfg["ffnn_blocks"], dropout=cfg["dropout"],
-        flow_weight=cfg["flow_weight"], disc_weight=cfg["disc_weight"])
+        learning_rate=cfg["learning_rate"], flow_weight=cfg["flow_weight"],
+        disc_weight=cfg["disc_weight"])
     init_rng = Rng(derive_seed(cfg["seed"], "init"))
     if args.model == "ffnn":
-        model = FfnnModel(dataset.dim, config.hidden, config.ffnn_blocks,
-                          config.dropout, init_rng)
+        model = FfnnModel(dataset.dim, cfg["hidden"], cfg["ffnn_blocks"],
+                          cfg["dropout"], init_rng)
     else:
         n_classes = max(dataset.n_classes, 2)
-        model = CccpDeModel(dataset.dim, n_classes, config.hidden,
-                            config.base_depth, config.head_depth,
-                            config.disc_blocks, config.dropout, init_rng)
+        model = CccpDeModel(dataset.dim, n_classes, cfg["hidden"],
+                            cfg["base_depth"], cfg["head_depth"],
+                            cfg["disc_blocks"], cfg["dropout"], init_rng)
     if cfg["standardize"]:
         model.standardizer = Standardizer.fit(dataset.features)
     trace = train(model, dataset, config, Rng(derive_seed(cfg["seed"], "shuffle")))
@@ -172,13 +168,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-_EVAL_DEFAULTS = {
-    "threshold": 0.1, "mass": 0.95, "prior_a": 1.0, "prior_b": 1.0,
-    "base_rate": None, "prior_strength": 2.0, "volume": None,
-}
-_EVAL_TYPES = {
-    "threshold": float, "mass": float, "prior_a": float, "prior_b": float,
-    "base_rate": float, "prior_strength": float, "volume": float,
+_EVAL_SETTINGS = {
+    "threshold": (0.1, float), "mass": (0.95, float),
+    "prior_a": (1.0, float), "prior_b": (1.0, float),
+    "base_rate": (None, float), "prior_strength": (2.0, float),
+    "volume": (None, float),
 }
 
 
@@ -190,7 +184,7 @@ def _default_volume(model: CccpDeModel) -> float:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _resolve(args, _EVAL_DEFAULTS, _EVAL_TYPES)
+    cfg = _resolve(args)
     model = load_model(args.model)
     if not isinstance(model, CccpDeModel):
         raise DomainError(f"{args.model} is not a density-estimator model")
@@ -255,12 +249,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_SAMPLE_DEFAULTS = {"seed": 0, "count": 10, "class_index": 0}
-_SAMPLE_TYPES = {"seed": int, "count": int, "class_index": int}
+_SAMPLE_SETTINGS = {"seed": (0, int), "count": (10, int),
+                    "class_index": (0, int)}
 
 
 def _cmd_sample(args) -> int:
-    cfg = _resolve(args, _SAMPLE_DEFAULTS, _SAMPLE_TYPES)
+    cfg = _resolve(args)
     model = load_model(args.model)
     if not isinstance(model, CccpDeModel):
         raise DomainError(f"{args.model} is not a density-estimator model")
@@ -276,12 +270,11 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-_GRID_DEFAULTS = {"resolution": 100}
-_GRID_TYPES = {"resolution": int}
+_GRID_SETTINGS = {"resolution": (100, int)}
 
 
 def _cmd_density_grid(args) -> int:
-    cfg = _resolve(args, _GRID_DEFAULTS, _GRID_TYPES)
+    cfg = _resolve(args)
     model = load_model(args.model)
     if not isinstance(model, CccpDeModel):
         raise DomainError(f"{args.model} is not a density-estimator model")
@@ -305,21 +298,19 @@ def _cmd_density_grid(args) -> int:
     return 0
 
 
-_GLM_DEFAULTS = {"seed": 0, "train_size": 2000, "epochs": 150,
-                 "batch_size": 128, "learning_rate": 1e-3, "hidden": 64,
-                 "grid_size": 200}
-_GLM_TYPES = {"seed": int, "train_size": int, "epochs": int,
-              "batch_size": int, "learning_rate": float, "hidden": int,
-              "grid_size": int}
+_GLM_SETTINGS = {"seed": (0, int), "train_size": (2000, int),
+                 "epochs": (150, int), "batch_size": (128, int),
+                 "learning_rate": (1e-3, float), "hidden": (64, int),
+                 "grid_size": (200, int)}
 
 
 def _cmd_glm_demo(args) -> int:
-    cfg = _resolve(args, _GLM_DEFAULTS, _GLM_TYPES)
+    cfg = _resolve(args)
     x, y = gen_regression_1d(cfg["train_size"], derive_seed(cfg["seed"], "data"))
     config = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                         learning_rate=cfg["learning_rate"], hidden=cfg["hidden"])
+                         learning_rate=cfg["learning_rate"])
     init_rng = Rng(derive_seed(cfg["seed"], "init"))
-    _, _, model = glm_fit_and_predict(x, y, config, init_rng)
+    _, _, model = glm_fit_and_predict(x, y, config, init_rng, cfg["hidden"])
     grid = np.linspace(-3.0, 3.0, cfg["grid_size"])
     mu, sigma = model.predict(grid)
     truth = regression_true_mean(grid)
@@ -338,6 +329,19 @@ def _cmd_glm_demo(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _add_settings(p, func, settings: dict) -> None:
+    """Add `--config` and one flag per settings key; `func` runs the command."""
+    p.add_argument("--config", help="key = value config file")
+    for key, (_, kind) in settings.items():
+        flag = key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(f"--no-{flag}", action="store_const", const=False,
+                           dest=key)
+        else:
+            p.add_argument(f"--{flag}", type=kind, dest=key)
+    p.set_defaults(func=func, settings=settings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cccpde",
@@ -348,77 +352,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic preset dataset")
     p.add_argument("--preset", required=True, choices=PRESETS)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-size", type=int, dest="train_size")
-    p.add_argument("--test-size", type=int, dest="test_size")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(func=_cmd_gen_data)
+    _add_settings(p, _cmd_gen_data, _GEN_SETTINGS)
 
     p = sub.add_parser("train", help="train a model on a dataset CSV")
     p.add_argument("--model", required=True, choices=("ffnn", "cccpde"))
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--base-depth", type=int, dest="base_depth")
-    p.add_argument("--head-depth", type=int, dest="head_depth")
-    p.add_argument("--disc-blocks", type=int, dest="disc_blocks")
-    p.add_argument("--ffnn-blocks", type=int, dest="ffnn_blocks")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--flow-weight", type=float, dest="flow_weight")
-    p.add_argument("--disc-weight", type=float, dest="disc_weight")
-    p.add_argument("--no-standardize", action="store_const", const=False,
-                   dest="standardize")
-    p.set_defaults(func=_cmd_train)
+    _add_settings(p, _cmd_train, _TRAIN_SETTINGS)
 
     p = sub.add_parser("eval", help="uncertainty-filtered evaluation")
     p.add_argument("--model", required=True, help="density-estimator model file")
     p.add_argument("--ffnn", help="optional baseline model file")
     p.add_argument("--data", required=True, help="test CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--mass", type=float)
-    p.add_argument("--prior-a", type=float, dest="prior_a")
-    p.add_argument("--prior-b", type=float, dest="prior_b")
-    p.add_argument("--base-rate", type=float, dest="base_rate")
-    p.add_argument("--prior-strength", type=float, dest="prior_strength")
-    p.add_argument("--volume", type=float)
-    p.set_defaults(func=_cmd_eval)
+    _add_settings(p, _cmd_eval, _EVAL_SETTINGS)
 
     p = sub.add_parser("sample", help="draw samples from one class head")
     p.add_argument("--model", required=True)
-    p.add_argument("--class-index", type=int, dest="class_index")
-    p.add_argument("--count", type=int)
     p.add_argument("--out", required=True, help="samples CSV to write")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(func=_cmd_sample)
+    _add_settings(p, _cmd_sample, _SAMPLE_SETTINGS)
 
     p = sub.add_parser("density-grid", help="export 2-D log-density grid")
     p.add_argument("--model", required=True)
     p.add_argument("--bounds", type=float, nargs=4,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
-    p.add_argument("--resolution", type=int)
     p.add_argument("--out", required=True, help="grid CSV to write")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(func=_cmd_density_grid)
+    _add_settings(p, _cmd_density_grid, _GRID_SETTINGS)
 
     p = sub.add_parser("glm-demo", help="heteroscedastic 1-D regression demo")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-size", type=int, dest="train_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--grid-size", type=int, dest="grid_size")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(func=_cmd_glm_demo)
+    _add_settings(p, _cmd_glm_demo, _GLM_SETTINGS)
 
     return parser
 

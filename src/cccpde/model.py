@@ -36,17 +36,14 @@ from .serialize import read_state, write_state
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for a training run; desk-scale defaults."""
+    """Optimizer settings of a training run; desk-scale defaults.
+
+    Network sizes and dropout are arguments of the model constructors.
+    """
 
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 1e-3
-    hidden: int = 64
-    base_depth: int = 3
-    head_depth: int = 1
-    disc_blocks: int = 3
-    ffnn_blocks: int = 4
-    dropout: float = 0.05
     flow_weight: float = 1.0
     disc_weight: float = 1.0
 
@@ -59,19 +56,21 @@ class TrainConfig:
             raise DomainError("learning rate must be positive")
         if self.flow_weight < 0 or self.disc_weight < 0:
             raise DomainError("loss weights must be nonnegative")
-        if self.hidden < 1 or self.head_depth < 1 or self.base_depth < 0:
-            raise DomainError("network sizes must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
+
+
+def _check_network(sizes_ok: bool, dropout_rate: float) -> None:
+    if not sizes_ok:
+        raise DomainError("network sizes must be positive")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise DomainError(f"dropout must lie in [0, 1), got {dropout_rate}")
 
 
 class FfnnModel:
     """Feed-forward baseline: dense blocks, final dense layer, sigmoid."""
 
-    kind = "ffnn"
-
     def __init__(self, dim: int, hidden: int = 64, n_blocks: int = 4,
                  dropout_rate: float = 0.05, rng: Rng | None = None):
+        _check_network(hidden >= 1 and n_blocks >= 1, dropout_rate)
         self.dim = dim
         self.hidden = hidden
         self.n_blocks = n_blocks
@@ -89,11 +88,10 @@ class FfnnModel:
 
     # this model ignores the loss weights; `train` passes them to both kinds
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       rng: Rng | None = None, training: bool = True,
-                       flow_weight: float = 1.0,
+                       rng: Rng | None = None, flow_weight: float = 1.0,
                        disc_weight: float = 1.0) -> float:
         return self.head.loss_and_grads(self._model_space(x), y, rng,
-                                        training)[0]
+                                        training=True)[0]
 
     def eval_loss(self, x: np.ndarray, y: np.ndarray,
                   flow_weight: float = 1.0, disc_weight: float = 1.0) -> float:
@@ -130,14 +128,14 @@ class CccpDeModel:
     base output through dense blocks; its loss propagates into the base.
     """
 
-    kind = "cccpde"
-
     def __init__(self, dim: int, n_classes: int = 2, hidden: int = 64,
                  base_depth: int = 3, head_depth: int = 1,
                  disc_blocks: int = 3, dropout_rate: float = 0.05,
                  rng: Rng | None = None):
         if n_classes < 2:
             raise DomainError(f"need at least 2 classes, got {n_classes}")
+        _check_network(min(hidden, head_depth, disc_blocks) >= 1
+                       and base_depth >= 0, dropout_rate)
         self.dim = dim
         self.n_classes = n_classes
         self.hidden = hidden
@@ -191,8 +189,7 @@ class CccpDeModel:
         return labels.astype(np.int64)
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
-                       rng: Rng | None = None, training: bool = True,
-                       flow_weight: float = 1.0,
+                       rng: Rng | None = None, flow_weight: float = 1.0,
                        disc_weight: float = 1.0) -> float:
         labels = self._check_labels(labels)
         xs, _ = self._model_space(x)
@@ -209,8 +206,8 @@ class CccpDeModel:
             g_z = (flow_weight / n) * z
             g_log_det = np.full(rows.size, -flow_weight / n)
             g_base_out[rows] += head.backward(g_z, g_log_det)
-        disc_loss, g_disc = self.disc.loss_and_grads(base_out, labels, rng,
-                                                     training, disc_weight)
+        disc_loss, g_disc = self.disc.loss_and_grads(
+            base_out, labels, rng, training=True, weight=disc_weight)
         self.base.backward(g_base_out + g_disc, np.full(n, -flow_weight / n))
         return flow_weight * flow_nll / n + disc_weight * disc_loss
 
@@ -276,10 +273,10 @@ class CccpDeModel:
 class GlmRegressor:
     """Shared tanh trunk with linear mean and log-variance heads."""
 
-    kind = "glm"
-
     def __init__(self, in_dim: int = 1, hidden: int = 64,
                  rng: Rng | None = None):
+        if hidden < 1:
+            raise DomainError("network sizes must be positive")
         self.dim = in_dim
         self.hidden = hidden
         self.trunk = MLP([in_dim, hidden, hidden], rng,
@@ -337,7 +334,6 @@ def train(model, dataset: Dataset, config: TrainConfig,
             for p in params:
                 p.zero_grad()
             model.loss_and_grads(features[idx], labels[idx], rng=rng,
-                                 training=True,
                                  flow_weight=config.flow_weight,
                                  disc_weight=config.disc_weight)
             adam.step(params)
@@ -347,7 +343,8 @@ def train(model, dataset: Dataset, config: TrainConfig,
 
 
 def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                        rng: Rng) -> tuple[np.ndarray, np.ndarray, GlmRegressor]:
+                        rng: Rng, hidden: int = 64,
+                        ) -> tuple[np.ndarray, np.ndarray, GlmRegressor]:
     """Train a fresh Gaussian regressor and return (mean, std) per input."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -355,7 +352,7 @@ def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
         raise DomainError("cannot fit a regressor on empty data")
     if x.shape != y.shape:
         raise ShapeError(f"x shape {x.shape} != y shape {y.shape}")
-    model = GlmRegressor(1, config.hidden, rng)
+    model = GlmRegressor(1, hidden, rng)
     adam = AdamState(config.learning_rate)
     params = model.params()
     n = x.size
@@ -373,19 +370,21 @@ def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
 
 # -- persistence helpers -----------------------------------------------------
 
-_KIND_CODES = {"ffnn": 1, "cccpde": 2}
-_KIND_CLASSES: dict[int, type] = {}
+# the kind byte of a model file -> the class it stores
+_MODEL_KINDS = {1: FfnnModel, 2: CccpDeModel}
 
 
 def save_model(model, path) -> None:
     """Write a model file; load_model(path) reproduces it bit-exactly."""
     meta, arrays = model.to_state()
-    write_state(path, _KIND_CODES[model.kind], meta, arrays)
+    kind_code = next(code for code, cls in _MODEL_KINDS.items()
+                     if type(model) is cls)
+    write_state(path, kind_code, meta, arrays)
 
 
 def load_model(path):
     kind_code, meta, arrays = read_state(path)
-    cls = _KIND_CLASSES.get(kind_code)
+    cls = _MODEL_KINDS.get(kind_code)
     if cls is None:
         raise ModelFormatError(f"unknown model kind code {kind_code}")
     return cls.from_state(meta, arrays)
@@ -453,7 +452,3 @@ def _standardizer_arrays(standardizer: Standardizer | None) -> list:
         return []
     return [("standardizer/mean", standardizer.mean),
             ("standardizer/std", standardizer.std)]
-
-
-_KIND_CLASSES[1] = FfnnModel
-_KIND_CLASSES[2] = CccpDeModel

@@ -53,7 +53,7 @@ def composite_bundle():
     model = CccpDeModel(2, 2, hidden=64, head_depth=2,
                         rng=Rng(derive_seed(2, "init")))
     model.standardizer = Standardizer.fit(tr.features)
-    cc_trace = train(model, tr, TrainConfig(epochs=30, head_depth=2),
+    cc_trace = train(model, tr, TrainConfig(epochs=30),
                      Rng(derive_seed(2, "shuffle")))
 
     log_d, sigmoid_scores = model.forward(te.features)

@@ -163,8 +163,7 @@ def test_criterion_03_gradient_oracle():
     yj = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
     def joint_backward():
-        model.loss_and_grads(xj, yj, training=True, flow_weight=1.0,
-                             disc_weight=1.0)
+        model.loss_and_grads(xj, yj, flow_weight=1.0, disc_weight=1.0)
 
     joint_err = worst_param_grad_err(
         model.params(), joint_backward,

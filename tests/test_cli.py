@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from cccpde.cli import main
+from cccpde.cli import build_parser, main
 from cccpde.data import load_csv
 from cccpde.model import load_model, save_model
 
@@ -115,8 +115,9 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value, message", [
         ("--hidden", 0, "network sizes must be positive"),
         ("--head-depth", 0, "network sizes must be positive"),
+        ("--disc-blocks", 0, "network sizes must be positive"),
         ("--dropout", 1.0, "dropout must lie in"),
-    ], ids=["hidden", "head-depth", "dropout"])
+    ], ids=["hidden", "head-depth", "disc-blocks", "dropout"])
     def test_invalid_size_is_runtime_error(self, toy_run, tmp_path, capsys,
                                            flag, value, message):
         assert run("train", "--model", "cccpde",
@@ -226,6 +227,33 @@ class TestGlmDemo:
         coverage = np.mean((fresh >= mu - 2 * sigma)
                            & (fresh <= mu + 2 * sigma))
         assert 0.88 <= coverage <= 0.99
+
+
+class TestParser:
+    def test_option_strings_per_subcommand(self):
+        common = ["--config", "--help", "--out", "-h"]
+        expected = {
+            "gen-data": ["--preset", "--seed", "--test-size", "--train-size"],
+            "train": ["--base-depth", "--batch-size", "--data",
+                      "--disc-blocks", "--disc-weight", "--dropout",
+                      "--epochs", "--ffnn-blocks", "--flow-weight",
+                      "--head-depth", "--hidden", "--learning-rate",
+                      "--model", "--no-standardize", "--seed"],
+            "eval": ["--base-rate", "--data", "--ffnn", "--mass", "--model",
+                     "--prior-a", "--prior-b", "--prior-strength",
+                     "--threshold", "--volume"],
+            "sample": ["--class-index", "--count", "--model", "--seed"],
+            "density-grid": ["--bounds", "--model", "--resolution"],
+            "glm-demo": ["--batch-size", "--epochs", "--grid-size",
+                         "--hidden", "--learning-rate", "--seed",
+                         "--train-size"],
+        }
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        assert sorted(subparsers) == sorted(expected)
+        for name, own in expected.items():
+            options = sorted(s for action in subparsers[name]._actions
+                             for s in action.option_strings)
+            assert options == sorted(common + own), name
 
 
 class TestProcessEntry:

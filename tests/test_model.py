@@ -107,8 +107,7 @@ class TestJointLoss:
         y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
         def run_backward():
-            model.loss_and_grads(x, y, training=True, flow_weight=1.0,
-                                 disc_weight=1.0)
+            model.loss_and_grads(x, y, flow_weight=1.0, disc_weight=1.0)
 
         def eval_loss():
             return model.eval_loss(x, y, 1.0, 1.0)
@@ -152,6 +151,15 @@ class TestTraining:
     def test_epochs_validated(self):
         with pytest.raises(DomainError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FfnnModel(2, n_blocks=0), "network sizes must be positive"),
+        (lambda: CccpDeModel(2, hidden=0), "network sizes must be positive"),
+        (lambda: FfnnModel(2, dropout_rate=1.0), "dropout must lie in"),
+    ], ids=["ffnn-blocks", "cccpde-hidden", "ffnn-dropout"])
+    def test_network_settings_validated(self, build, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build()
 
     def test_same_seed_bit_identical_parameters(self):
         ds = gen_mixture([(0, (-1.0, 0.0), 0.5, 96),
