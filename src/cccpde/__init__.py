@@ -3,6 +3,7 @@ uncertainty, abstention, and open-set scoring."""
 
 from .bayes import (
     BetaPosterior,
+    PosteriorBatch,
     UncertaintyReport,
     base_rate_prior,
     beta_cdf,

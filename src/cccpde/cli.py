@@ -202,8 +202,8 @@ def _cmd_eval(args) -> int:
         prior = base_rate_prior(cfg["base_rate"], cfg["prior_strength"])
     else:
         prior = BetaPosterior(cfg["prior_a"], cfg["prior_b"])
-    reports = posterior_reports(log_d, model.class_counts, prior, volume,
-                                cfg["threshold"], cfg["mass"])
+    batch = posterior_reports(log_d, model.class_counts, prior, volume,
+                              cfg["threshold"], cfg["mass"])
 
     scorers = {"sigmoid": sigmoid_scores, "ratio": ratio_scores}
     ffnn_scores = np.full(dataset.n_rows, np.nan)
@@ -214,13 +214,13 @@ def _cmd_eval(args) -> int:
         ffnn_scores = baseline.score(dataset.features)
         scorers["ffnn"] = ffnn_scores
 
-    retained, rejected = ev.filter_by_uncertainty(reports, cfg["threshold"])
+    retained, rejected = ev.filter_by_uncertainty(batch, cfg["threshold"])
     kept_labels = set(dataset.labels[retained].tolist())
     filterable = kept_labels >= {0, 1}
     suffix = {"sigmoid": "", "ratio": "_ratio", "ffnn": "_ffnn"}
     if filterable:
         curves, retained, rejected = ev.filtered_roc_comparison(
-            dataset.labels, scorers, reports, cfg["threshold"])
+            dataset.labels, scorers, batch, cfg["threshold"])
     else:
         print("warning: retained set lacks a class; emitting unfiltered "
               "curves only (raise --volume or --threshold)", file=sys.stderr)
@@ -229,7 +229,7 @@ def _cmd_eval(args) -> int:
                   for name, s in scorers.items()}
 
     ev.write_reports_csv(out / "reports.csv", dataset.labels, ffnn_scores,
-                         sigmoid_scores, log_d, reports)
+                         sigmoid_scores, log_d, batch)
     for name, (full, filtered) in curves.items():
         ev.write_roc_csv(full, out / f"roc{suffix[name]}.csv")
         if filtered is not None:
@@ -306,6 +306,8 @@ _GLM_SETTINGS = {"seed": (0, int), "train_size": (2000, int),
 
 def _cmd_glm_demo(args) -> int:
     cfg = _resolve(args)
+    if cfg["grid_size"] < 1:
+        raise DomainError(f"grid size must be >= 1, got {cfg['grid_size']}")
     x, y = gen_regression_1d(cfg["train_size"], derive_seed(cfg["seed"], "data"))
     config = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                          learning_rate=cfg["learning_rate"])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import UncertaintyReport
+from .bayes import PosteriorBatch
 from .errors import DomainError, ShapeError
 from .numerics import logsumexp
 
@@ -82,15 +82,15 @@ def ratio_test_classify(log_densities: np.ndarray,
     return predictions, scores
 
 
-def filter_by_uncertainty(reports: list[UncertaintyReport],
+def filter_by_uncertainty(batch: PosteriorBatch,
                           threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Partition sample indices by credible-interval range, stable order.
 
     Samples whose interval range exceeds the threshold are rejected.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    ranges = np.array([r.interval_range for r in reports])
+    ranges = batch.interval_range
     retained = np.nonzero(ranges <= threshold)[0]
     rejected = np.nonzero(ranges > threshold)[0]
     return retained, rejected
@@ -98,7 +98,7 @@ def filter_by_uncertainty(reports: list[UncertaintyReport],
 
 def filtered_roc_comparison(labels: np.ndarray,
                             scores_by_scorer: dict[str, np.ndarray],
-                            reports: list[UncertaintyReport],
+                            batch: PosteriorBatch,
                             threshold: float,
                             ) -> tuple[dict[str, tuple[RocCurve, RocCurve]],
                                        np.ndarray, np.ndarray]:
@@ -109,14 +109,14 @@ def filtered_roc_comparison(labels: np.ndarray,
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if len(reports) != n:
-        raise ShapeError(f"{len(reports)} reports for {n} labels")
+    if len(batch) != n:
+        raise ShapeError(f"{len(batch)} reports for {n} labels")
     for name, scores in scores_by_scorer.items():
         if np.asarray(scores).shape[0] != n:
             raise ShapeError(
                 f"scorer {name!r} has {np.asarray(scores).shape[0]} scores "
                 f"for {n} labels")
-    retained, rejected = filter_by_uncertainty(reports, threshold)
+    retained, rejected = filter_by_uncertainty(batch, threshold)
     curves = {}
     for name, scores in scores_by_scorer.items():
         scores = np.asarray(scores, dtype=np.float64)
@@ -165,18 +165,18 @@ def write_roc_csv(curve: RocCurve, path) -> None:
 
 
 def write_reports_csv(path, labels, score_ffnn, score_sigmoid,
-                      log_densities, reports: list[UncertaintyReport]) -> None:
+                      log_densities, batch: PosteriorBatch) -> None:
     labels = np.asarray(labels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,label,score_ffnn,score_sigmoid,"
                  "logp_class0,logp_class1,post_mean,ci_lo,ci_hi,abstain\n")
-        for i, report in enumerate(reports):
+        for i in range(len(batch)):
             fh.write(
                 f"{i},{int(labels[i])},{float(score_ffnn[i])!r},"
                 f"{float(score_sigmoid[i])!r},"
                 f"{float(log_densities[i, 0])!r},{float(log_densities[i, 1])!r},"
-                f"{float(report.mean)!r},{float(report.interval[0])!r},"
-                f"{float(report.interval[1])!r},{int(report.abstain)}\n")
+                f"{float(batch.mean[i])!r},{float(batch.lo[i])!r},"
+                f"{float(batch.hi[i])!r},{int(batch.abstain[i])}\n")
 
 
 def write_density_grid_csv(path, xs, ys, log_d, total) -> None:

@@ -147,19 +147,23 @@ _LANCZOS_COEFFS = (
 )
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series on its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
+def log_gamma(x):
+    """ln Gamma(x) for x > 0, elementwise; a float for scalar input."""
+    x = np.asarray(x, dtype=np.float64)
+    bad = ~(x > 0)
+    if bad.any():
+        raise DomainError(f"log_gamma requires x > 0, got {x.flat[np.argmax(bad)]}")
+    # reflection keeps the series on its accurate range
+    reflect = x < 0.5
+    z = np.where(reflect, 1.0 - x, x) - 1.0
+    acc = np.full_like(z, _LANCZOS_COEFFS[0])
     for i in range(1, 9):
-        acc += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * LOG_TWO_PI + (x + 0.5) * math.log(t) - t + math.log(acc)
+        acc += _LANCZOS_COEFFS[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    out = 0.5 * LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(acc)
+    small = np.where(reflect, x, 0.5)
+    out = np.where(reflect, np.log(np.pi / np.sin(np.pi * small)) - out, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def finite_diff_grad(

@@ -63,16 +63,16 @@ def composite_bundle():
 
     volume = 0.6  # explicit neighborhood volume for this experiment
     threshold = 0.1
-    reports = posterior_reports(log_d, model.class_counts,
-                                BetaPosterior(1.0, 1.0), volume, threshold)
+    batch = posterior_reports(log_d, model.class_counts,
+                              BetaPosterior(1.0, 1.0), volume, threshold)
     scorers = {"ffnn": ffnn_scores, "sigmoid": sigmoid_scores,
                "ratio": ratio_scores}
     curves, retained, rejected = ev.filtered_roc_comparison(
-        te.labels, scorers, reports, threshold)
+        te.labels, scorers, batch, threshold)
     return {
         "ffnn": ffnn, "model": model, "train": tr, "test": te,
         "ffnn_trace": ffnn_trace, "cc_trace": cc_trace,
-        "log_densities": log_d, "scorers": scorers, "reports": reports,
+        "log_densities": log_d, "scorers": scorers, "batch": batch,
         "curves": curves, "retained": retained, "rejected": rejected,
         "volume": volume, "threshold": threshold,
         "seconds": time.monotonic() - t0,

@@ -3,9 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cccpde.bayes import (
     BetaPosterior,
+    PosteriorBatch,
     ball_volume,
     base_rate_prior,
     beta_cdf,
@@ -14,6 +17,7 @@ from cccpde.bayes import (
     credible_interval,
     mc_count_estimate,
     posterior_report,
+    posterior_reports,
     pseudo_counts,
 )
 from cccpde.errors import DomainError, UnsupportedError
@@ -39,6 +43,48 @@ def beta_cdf_oracle(x, a, b):
                            - log_norm),
         [0, x])
     return float(val)
+
+
+def beta_cdf_window_oracle(x, a, b):
+    """I_x(a, b) at the exact double x, for any shape size.
+
+    Quadrature of the density over a window of 40 sd around the mean, with
+    mp.loggamma normalizers and a working precision that grows with
+    log10(a + b), so that (a - 1) log t keeps its units digit. (mp.betainc
+    fails to converge or returns garbage at these sizes.) The window grows
+    by 50 / (a + b) on each side: with one small shape the distribution is
+    gamma-like, and its tail beyond 40 sd can still exceed 1e-12.
+    """
+    with mp.workdps(20 + int(math.log10(a + b))):
+        a_, b_, x_ = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+        s = a_ + b_
+        mean = a_ / s
+        sd = mp.sqrt(a_ * b_ / (s * s * (s + 1)))
+        half = 40 * sd + 50 / s
+        lo = max(mp.mpf(0), mean - half)
+        hi = min(mp.mpf(1), mean + half)
+        if x_ <= lo:
+            return 0.0
+        if x_ >= hi:
+            return 1.0
+        log_norm = mp.loggamma(s) - mp.loggamma(a_) - mp.loggamma(b_)
+
+        def density(t):
+            return mp.exp(log_norm + (a_ - 1) * mp.log(t)
+                          + (b_ - 1) * mp.log1p(-t))
+        # a shape below 1 puts a singularity at the window's end; u = t^a
+        # (or (1-t)^b) turns it into a smooth integrand
+        if x_ <= mean:
+            if lo == 0 and a_ < 1:
+                return float(mp.quad(lambda u: mp.exp(
+                    log_norm + (b_ - 1) * mp.log1p(-u ** (1 / a_))) / a_,
+                    [0, x_ ** a_]))
+            return float(mp.quad(density, [lo, x_]))
+        if hi == 1 and b_ < 1:
+            return float(1 - mp.quad(lambda v: mp.exp(
+                log_norm + (a_ - 1) * mp.log1p(-v ** (1 / b_))) / b_,
+                [0, (1 - x_) ** b_]))
+        return float(1 - mp.quad(density, [x_, hi]))
 
 
 def beta_quantile_oracle(q, a, b):
@@ -257,3 +303,158 @@ class TestPosteriorReport:
         with pytest.raises(UnsupportedError, match="Dirichlet"):
             posterior_report(np.zeros(3), np.ones(3),
                              BetaPosterior(1.0, 1.0), 0.1)
+
+
+# the existing grids of criterion 4 and TestCredibleInterval
+EXISTING_GRID = ([(a, b, 0.3) for a in (0.5, 1.0, 2.0, 50.0)
+                  for b in (0.5, 1.0, 2.0, 50.0)]
+                 + [(2.0, 5.0, x) for x in (0.05, 0.5, 0.9, 0.99)])
+
+# balanced pairs from 1e6 to 1e304, 1:3 pairs, and lopsided pairs
+LARGE_PAIRS = [(1e6, 1e6), (1e8, 1e8), (1e12, 3e12), (1e20, 3e20),
+               (1e50, 1e50), (1e100, 3e100), (1e304, 1e304),
+               (1.0, 1e300), (1e8, 3.0), (0.5, 1e12), (99.0, 1e6),
+               (150.0, 1e9)]
+
+
+def grid_points(a, b):
+    """Doubles at -2, -0.3, 0 and +1.5 sd from the mean (deduplicated)."""
+    with mp.workdps(20 + int(math.log10(a + b))):
+        s = mp.mpf(a) + mp.mpf(b)
+        mean = mp.mpf(a) / s
+        sd = mp.sqrt(mp.mpf(a) * b / (s * s * (s + 1)))
+        xs = {float(mean + k * sd) for k in (-2, -0.3, 0, 1.5)}
+    return sorted(x for x in xs if 0.0 < x < 1.0)
+
+
+class TestOracleAgreement:
+    def test_existing_grid_to_1e12(self):
+        for a, b, x in EXISTING_GRID:
+            assert abs(beta_cdf(x, a, b) - beta_cdf_oracle(x, a, b)) < 1e-12
+
+    def test_interval_mass_to_1e12(self):
+        for a, b in ((0.5, 0.5), (1.0, 3.0), (2.0, 7.0), (50.0, 50.0),
+                     (200.0, 3.0)):
+            lo, hi = credible_interval(BetaPosterior(a, b), 0.95)
+            mass = beta_cdf_oracle(hi, a, b) - beta_cdf_oracle(lo, a, b)
+            assert abs(mass - 0.95) < 1e-12
+
+    @pytest.mark.parametrize("a, b", LARGE_PAIRS,
+                             ids=[f"{a:g}-{b:g}" for a, b in LARGE_PAIRS])
+    def test_large_counts_cdf(self, a, b):
+        for x in grid_points(a, b):
+            assert abs(beta_cdf(x, a, b) - beta_cdf_window_oracle(x, a, b)) < 1e-12
+
+    @pytest.mark.parametrize("a, b", LARGE_PAIRS,
+                             ids=[f"{a:g}-{b:g}" for a, b in LARGE_PAIRS])
+    def test_large_counts_quantiles(self, a, b):
+        # the oracle CDF brackets each level within 1e-12 of our quantile
+        for q in (0.025, 0.975):
+            x = beta_quantile(q, a, b)
+            assert beta_cdf_window_oracle(max(x - 1e-12, 0.0), a, b) <= q
+            assert beta_cdf_window_oracle(min(x + 1e-12, 1.0), a, b) >= q
+
+
+class TestArrayApi:
+    def test_scalar_in_float_out(self):
+        assert type(beta_cdf(0.3, 2.0, 5.0)) is float
+        assert type(beta_quantile(0.3, 2.0, 5.0)) is float
+
+    def test_broadcast_matches_scalar_calls(self):
+        x = np.array([[0.1, 0.5], [0.7, 0.99]])
+        a = np.array([0.5, 3.0])
+        cdf = beta_cdf(x, a, 2.0)
+        assert cdf.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert cdf[i, j] == beta_cdf(x[i, j], a[j], 2.0)
+        q = beta_quantile(cdf, a, 2.0)
+        assert np.max(np.abs(q - x)) < 1e-12
+
+    def test_quantile_endpoints(self):
+        assert beta_quantile(0.0, 2.0, 3.0) == 0.0
+        assert beta_quantile(1.0, 2.0, 3.0) == 1.0
+
+    def test_shapes_below_one(self):
+        # the oracle CDF brackets each level within 1e-12 of our quantile
+        for a, b in ((0.5, 0.5), (0.1, 2.0), (3.0, 0.2), (0.5, 1e12)):
+            for q in (0.025, 0.5, 0.975):
+                x = beta_quantile(q, a, b)
+                assert beta_cdf_window_oracle(max(x - 1e-12, 0.0), a, b) <= q
+                assert beta_cdf_window_oracle(min(x + 1e-12, 1.0), a, b) >= q
+
+    def test_error_names_the_row(self):
+        with pytest.raises(DomainError, match="row 2"):
+            beta_cdf(np.array([0.1, 0.2, 1.5]), 1.0, 1.0)
+        with pytest.raises(DomainError, match="row 1"):
+            beta_quantile(0.5, np.array([1.0, -1.0]), 1.0)
+        with pytest.raises(DomainError, match="positive and finite"):
+            beta_cdf(0.5, np.inf, 1.0)
+
+
+class TestPosteriorBatch:
+    def test_crash_1_regression(self):
+        report = posterior_report(np.array([20.0, 20.0]),
+                                  np.array([1000.0, 1000.0]),
+                                  BetaPosterior(1, 1), 1.0)
+        lo, hi = report.interval
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert lo < hi and hi - lo < 0.1
+
+    def test_fields(self):
+        log_d = np.log(np.array([[2.0, 2.0], [1e-9, 5.0], [3.0, 1e-9]]))
+        batch = posterior_reports(log_d, np.array([1.0, 1.0]),
+                                  BetaPosterior(1.0, 1.0), 100.0)
+        assert isinstance(batch, PosteriorBatch)
+        assert len(batch) == 3
+        assert np.array_equal(batch.a, 1.0 + batch.counts[:, 1])
+        assert np.array_equal(batch.b, 1.0 + batch.counts[:, 0])
+        assert np.array_equal(batch.interval_range, batch.hi - batch.lo)
+        assert np.array_equal(batch.abstain, batch.interval_range > 0.1)
+        assert batch.mean[1] > 0.99 and batch.mean[2] < 0.01
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"threshold": float("nan")}, "threshold must be positive"),
+        ({"threshold": 0.0}, "threshold must be positive"),
+        ({"mass": float("nan")}, "mass must lie in"),
+        ({"mass": 1.0}, "mass must lie in"),
+    ], ids=["threshold-nan", "threshold-0", "mass-nan", "mass-1"])
+    def test_levels_validated(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            posterior_reports(np.zeros((2, 2)), np.ones(2),
+                              BetaPosterior(1.0, 1.0), 1.0, **kwargs)
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf")])
+    def test_non_finite_volume(self, volume):
+        with pytest.raises(DomainError,
+                           match="volume must be positive and finite"):
+            pseudo_counts(np.zeros(2), np.ones(2), volume)
+
+    def test_bad_row_is_named(self):
+        log_d = np.zeros((4, 2))
+        log_d[2, 0] = np.nan
+        with pytest.raises(DomainError, match="row 2"):
+            posterior_reports(log_d, np.ones(2), BetaPosterior(1.0, 1.0), 1.0)
+
+    def test_multiclass_rejected(self):
+        with pytest.raises(UnsupportedError, match="Dirichlet"):
+            posterior_reports(np.zeros((2, 3)), np.ones(3),
+                              BetaPosterior(1.0, 1.0), 0.1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-800.0, 720.0),
+                              st.floats(-800.0, 720.0)),
+                    min_size=1, max_size=12),
+           st.floats(0.05, 5.0), st.floats(0.05, 5.0))
+    def test_rows_equal_one_row_calls(self, rows, prior_a, prior_b):
+        log_d = np.array(rows)
+        prior = BetaPosterior(prior_a, prior_b)
+        class_counts = np.array([300.0, 700.0])
+        batch = posterior_reports(log_d, class_counts, prior, 0.01)
+        for i, row in enumerate(log_d):
+            one = posterior_report(row, class_counts, prior, 0.01)
+            assert np.array_equal(one.counts, batch.counts[i])
+            assert one.posterior == BetaPosterior(batch.a[i], batch.b[i])
+            assert one.interval == (batch.lo[i], batch.hi[i])
+            assert one.mean == batch.mean[i]
+            assert one.abstain == batch.abstain[i]

@@ -161,6 +161,30 @@ class TestEval:
                    "--data", toy_run["data"] / "test.csv",
                    "--out", tmp_path / "e") == 1
 
+    def test_nan_threshold_is_runtime_error(self, toy_run, tmp_path, capsys):
+        assert run("eval", "--model", toy_run["cc"],
+                   "--data", toy_run["data"] / "test.csv",
+                   "--out", tmp_path / "e", "--threshold", "nan") == 1
+        assert "threshold must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("volume", ["nan", "inf"])
+    def test_non_finite_volume_is_runtime_error(self, toy_run, tmp_path,
+                                                capsys, volume):
+        assert run("eval", "--model", toy_run["cc"],
+                   "--data", toy_run["data"] / "test.csv",
+                   "--out", tmp_path / "e", "--volume", volume) == 1
+        assert "volume must be positive and finite" in capsys.readouterr().err
+
+    def test_large_volume_succeeds(self, toy_run, tmp_path):
+        # pseudo-counts near 1e6 and beyond once broke the incomplete beta
+        out = tmp_path / "e"
+        assert run("eval", "--model", toy_run["cc"],
+                   "--data", toy_run["data"] / "test.csv",
+                   "--out", out, "--volume", 1e6) == 0
+        rows = (out / "reports.csv").read_text().splitlines()[1:]
+        lo_hi = np.array([[float(c) for c in r.split(",")[7:9]] for r in rows])
+        assert np.all(np.isfinite(lo_hi)) and np.all(lo_hi[:, 0] <= lo_hi[:, 1])
+
 
 class TestSampleAndGrid:
     def test_sample_rows_and_density(self, toy_run, tmp_path):
@@ -227,6 +251,14 @@ class TestGlmDemo:
         coverage = np.mean((fresh >= mu - 2 * sigma)
                            & (fresh <= mu + 2 * sigma))
         assert 0.88 <= coverage <= 0.99
+
+
+    def test_zero_grid_size_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "glm"
+        assert run("glm-demo", "--out", out, "--grid-size", 0,
+                   "--epochs", 1) == 1
+        assert "grid size must be >= 1" in capsys.readouterr().err
+        assert not (out / "glm_demo.csv").exists()
 
 
 class TestParser:

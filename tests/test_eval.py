@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 import cccpde.evaluate as ev
-from cccpde.bayes import BetaPosterior, UncertaintyReport
+from cccpde.bayes import PosteriorBatch
 from cccpde.errors import DomainError, ShapeError
 from cccpde.numerics import Rng
 
 from helpers import auc_bruteforce
 
 
-def make_report(lo, hi):
-    return UncertaintyReport(
-        log_densities=np.zeros(2), counts=np.zeros(2),
-        posterior=BetaPosterior(1.0, 1.0), interval=(lo, hi),
+def make_batch(intervals):
+    lo, hi = (np.array(ends, dtype=np.float64) for ends in zip(*intervals))
+    n = lo.size
+    return PosteriorBatch(
+        log_densities=np.zeros((n, 2)), counts=np.zeros((n, 2)),
+        a=np.ones(n), b=np.ones(n), lo=lo, hi=hi,
         mean=0.5 * (lo + hi), abstain=(hi - lo) > 0.1)
 
 
@@ -100,26 +102,27 @@ class TestRatioTest:
 
 class TestFiltering:
     def test_retention_semantics(self):
-        reports = [make_report(0.33, 0.36), make_report(0.13, 0.55)]
-        retained, rejected = ev.filter_by_uncertainty(reports, 0.1)
+        batch = make_batch([(0.33, 0.36), (0.13, 0.55)])
+        retained, rejected = ev.filter_by_uncertainty(batch, 0.1)
         assert retained.tolist() == [0]
         assert rejected.tolist() == [1]
 
     def test_threshold_above_one_rejects_nothing(self):
-        reports = [make_report(0.0, 0.95), make_report(0.4, 0.6)]
-        retained, rejected = ev.filter_by_uncertainty(reports, 1.0)
+        batch = make_batch([(0.0, 0.95), (0.4, 0.6)])
+        retained, rejected = ev.filter_by_uncertainty(batch, 1.0)
         assert rejected.size == 0
         assert retained.size == 2
 
     def test_partition_and_monotonicity(self):
         rng = Rng(103)
-        reports = []
+        intervals = []
         for _ in range(40):
             lo = 0.4 * rng.random()
-            reports.append(make_report(lo, lo + 0.6 * rng.random()))
+            intervals.append((lo, lo + 0.6 * rng.random()))
+        batch = make_batch(intervals)
         previous = set()
         for threshold in (0.05, 0.1, 0.2, 0.4, 0.8):
-            retained, rejected = ev.filter_by_uncertainty(reports, threshold)
+            retained, rejected = ev.filter_by_uncertainty(batch, threshold)
             merged = np.sort(np.concatenate([retained, rejected]))
             assert np.array_equal(merged, np.arange(40))
             current = set(retained.tolist())
@@ -128,7 +131,11 @@ class TestFiltering:
 
     def test_threshold_validated(self):
         with pytest.raises(DomainError):
-            ev.filter_by_uncertainty([make_report(0.1, 0.2)], 0.0)
+            ev.filter_by_uncertainty(make_batch([(0.1, 0.2)]), 0.0)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DomainError, match="threshold must be positive"):
+            ev.filter_by_uncertainty(make_batch([(0.1, 0.2)]), float("nan"))
 
 
 class TestFilteredComparison:
@@ -137,9 +144,9 @@ class TestFilteredComparison:
         labels = (rng.uniforms(30) > 0.5).astype(int)
         labels[0], labels[1] = 0, 1
         scores = {"only": rng.uniforms(30)}
-        reports = [make_report(0.4, 0.42) for _ in range(30)]
+        batch = make_batch([(0.4, 0.42)] * 30)
         curves, retained, rejected = ev.filtered_roc_comparison(
-            labels, scores, reports, 0.1)
+            labels, scores, batch, 0.1)
         assert rejected.size == 0
         full, filtered = curves["only"]
         assert full.auc == filtered.auc
@@ -147,12 +154,12 @@ class TestFilteredComparison:
 
     def test_misaligned_lengths_rejected(self):
         labels = np.array([0, 1, 0])
-        reports = [make_report(0.1, 0.15)] * 3
+        batch = make_batch([(0.1, 0.15)] * 3)
         with pytest.raises(ShapeError):
-            ev.filtered_roc_comparison(labels, {"s": np.zeros(2)}, reports, 0.1)
+            ev.filtered_roc_comparison(labels, {"s": np.zeros(2)}, batch, 0.1)
         with pytest.raises(ShapeError):
             ev.filtered_roc_comparison(labels, {"s": np.zeros(3)},
-                                       reports[:2], 0.1)
+                                       make_batch([(0.1, 0.15)] * 2), 0.1)
 
 
 class TestInSetScore:
@@ -232,11 +239,11 @@ class TestCsvWriters:
         assert np.isinf(parsed[0, 2])
 
     def test_reports_csv_columns(self, tmp_path):
-        reports = [make_report(0.2, 0.3), make_report(0.1, 0.9)]
+        batch = make_batch([(0.2, 0.3), (0.1, 0.9)])
         path = tmp_path / "reports.csv"
         ev.write_reports_csv(path, np.array([0, 1]), np.array([0.4, 0.6]),
                              np.array([0.3, 0.7]),
-                             np.array([[-1.0, -2.0], [-3.0, -4.0]]), reports)
+                             np.array([[-1.0, -2.0], [-3.0, -4.0]]), batch)
         rows = path.read_text().splitlines()
         assert rows[0] == ("index,label,score_ffnn,score_sigmoid,"
                            "logp_class0,logp_class1,post_mean,ci_lo,ci_hi,"
@@ -245,5 +252,5 @@ class TestCsvWriters:
         parsed = np.array([[float(c) for c in row.split(",")]
                            for row in rows[1:]])  # every cell must parse
         assert parsed[0, 0] == 0.0
-        assert parsed[0, 6] == 0.25  # make_report(0.2, 0.3) midpoint
+        assert parsed[0, 6] == 0.25  # midpoint of the interval (0.2, 0.3)
         assert set(parsed[:, 9].tolist()) <= {0.0, 1.0}
