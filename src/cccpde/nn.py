@@ -164,21 +164,6 @@ class LayerNorm:
         return [self.gain, self.bias]
 
 
-def _zero_positions(n: int, rate: float, rng: Rng) -> list[int]:
-    # Geometric gaps between hits; exactly iid Bernoulli(rate) per entry
-    # while consuming ~rate*n uniforms instead of n.
-    positions: list[int] = []
-    log_keep = math.log1p(-rate)
-    pos = 0
-    while True:
-        u = 1.0 - rng.random()
-        pos += int(math.log(u) / log_keep)
-        if pos >= n:
-            return positions
-        positions.append(pos)
-        pos += 1
-
-
 def dropout(x: np.ndarray, rate: float, rng: Rng | None,
             training: bool) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: zero with probability `rate`, rescale survivors.
@@ -188,15 +173,11 @@ def dropout(x: np.ndarray, rate: float, rng: Rng | None,
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = np.ones(x.shape)
     if not training or rate == 0.0:
-        return x, mask
+        return x, np.ones(x.shape)
     if rng is None:
         raise DomainError("training-mode dropout needs an rng")
-    flat = mask.reshape(-1)
-    hits = _zero_positions(flat.size, rate, rng)
-    if hits:
-        flat[hits] = 0.0
+    mask = (rng.uniforms(x.size).reshape(x.shape) >= rate).astype(np.float64)
     return x * mask / (1.0 - rate), mask
 
 

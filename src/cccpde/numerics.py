@@ -1,8 +1,8 @@
 """Deterministic RNG and special functions.
 
-Randomness comes from the xoshiro256** generator below, which produces an
-identical stream on every platform for a given seed; subsystems obtain
-their own streams through `derive_seed`.
+Randomness comes from the raw 64-bit stream of numpy's PCG64 generator,
+which is identical on every platform and numpy version for a given seed;
+subsystems obtain their own streams through `derive_seed`.
 """
 
 from __future__ import annotations
@@ -39,61 +39,31 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 class Rng:
-    """xoshiro256** generator seeded through splitmix64.
+    """numpy's PCG64 generator, read only through its raw 64-bit stream.
 
-    One Rng is owned by one thread of control; concurrent callers derive
-    independent instances via `derive_seed`. Normal variates come from
-    Box-Muller on the uniform stream, consumed in pairs.
+    Every draw is plain arithmetic on `random_raw`, so it inherits that
+    stream's stability across platforms and numpy versions. One Rng is
+    owned by one thread of control; concurrent callers derive independent
+    instances via `derive_seed`. Normal variates come from Box-Muller on
+    the uniform stream, consumed in pairs.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        state = self.seed
-        s = []
-        for _ in range(4):
-            state, z = _splitmix64(state)
-            s.append(z)
-        if not any(s):
-            s[0] = 1  # the all-zero state is the one forbidden xoshiro state
-        self._s = s
+        self._bits = np.random.PCG64(self.seed)
 
-    def _next64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        r = (s1 * 5) & _MASK64
-        r = (((r << 7) | (r >> 57)) & _MASK64) * 9 & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s = [s0, s1, s2, s3]
-        return r
+    def _raw(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise DomainError(f"draw count must be nonnegative, got {n}")
+        return self._bits.random_raw(n)
 
     def random(self) -> float:
         """One uniform draw in [0, 1) with 53 random bits."""
-        return (self._next64() >> 11) * _DOUBLE_SCALE
+        return (self._bits.random_raw() >> 11) * _DOUBLE_SCALE
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform draws in [0, 1), identical to n calls of random()."""
-        if n < 0:
-            raise DomainError(f"draw count must be nonnegative, got {n}")
-        s0, s1, s2, s3 = self._s
-        out = [0.0] * n
-        for i in range(n):
-            r = (s1 * 5) & _MASK64
-            r = (((r << 7) | (r >> 57)) & _MASK64) * 9 & _MASK64
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            out[i] = (r >> 11) * _DOUBLE_SCALE
-        self._s = [s0, s1, s2, s3]
-        return np.array(out, dtype=np.float64)
+        return (self._raw(n) >> 11) * _DOUBLE_SCALE
 
     def normals(self, n: int) -> np.ndarray:
         """n standard-normal draws via Box-Muller on paired uniforms."""
@@ -119,17 +89,13 @@ class Rng:
         span = _MASK64 + 1
         limit = span - span % n
         while True:
-            r = self._next64()
+            r = self._bits.random_raw()
             if r < limit:
                 return r % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Uniform random permutation of range(n) (Fisher-Yates)."""
-        out = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randint_below(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
+        """Uniform random permutation of range(n): the order of n raw draws."""
+        return np.argsort(self._raw(n), kind="stable")
 
 
 # Lanczos approximation, g = 7, 9 coefficients.

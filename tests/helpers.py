@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 
 from cccpde.numerics import finite_diff_grad
@@ -46,6 +47,24 @@ def input_grad_err(forward, backward, x, weights, h=1e-6) -> float:
     forward(x)
     g = backward(weights)
     return rel_err(fd, g)
+
+
+def mp_central_diff_grad(f, x, dps=50) -> np.ndarray:
+    """Gradient of f at x by mpmath central differences (`mp.diff`).
+
+    f takes the entries of x, flattened row-major, as a list of mpmath
+    numbers and returns one. At `dps` digits the difference keeps the
+    leading digits of a gradient far below the function's magnitude,
+    which a float64 step of 1e-6 loses to cancellation.
+    """
+    with mp.workdps(dps):
+        point = [mp.mpf(float(v)) for v in np.ravel(x)]
+        grad = [
+            float(mp.diff(lambda t, i=i: f(point[:i] + [t] + point[i + 1:]),
+                          point[i]))
+            for i in range(len(point))
+        ]
+    return np.array(grad).reshape(np.shape(x))
 
 
 def auc_bruteforce(scores, labels) -> float:

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cccpde.errors import DomainError, NumericError
+from cccpde.nn import dropout
 from cccpde.numerics import (
     Rng,
     derive_seed,
@@ -61,6 +63,38 @@ class TestRng:
         draws = [rng.randint_below(7) for _ in range(1000)]
         assert min(draws) == 0
         assert max(draws) == 6
+
+
+class TestStreamContract:
+    """Draws are fixed functions of PCG64's raw stream, which numpy keeps
+    the same across platforms and versions."""
+
+    def test_uniforms_pinned(self):
+        assert [float(u).hex() for u in Rng(0).uniforms(4)] == [
+            "0x1.461fd79fb3850p-1",
+            "0x1.1442f7e20b674p-2",
+            "0x1.4fa7b529d9bd0p-5",
+            "0x1.0ec9ed84d0bc0p-6",
+        ]
+
+    def test_permutation_pinned(self):
+        assert Rng(0).permutation(8).tolist() == [3, 2, 1, 6, 0, 7, 4, 5]
+
+    def test_dropout_mask_is_uniform_threshold(self):
+        x = Rng(17).normals(96).reshape(8, 12)
+        rng, twin = Rng(18), Rng(18)
+        out, mask = dropout(x, 0.3, rng, True)
+        assert np.array_equal(mask,
+                              twin.uniforms(x.size).reshape(x.shape) >= 0.3)
+        assert np.array_equal(out, x * mask / 0.7)
+
+    def test_permutation_orderings_uniform(self):
+        rng = Rng(19)
+        counts = Counter(tuple(rng.permutation(3).tolist())
+                         for _ in range(6000))
+        assert len(counts) == 6
+        chi2 = sum((c - 1000) ** 2 / 1000 for c in counts.values())
+        assert chi2 < 20.52  # chi-square, 5 degrees of freedom, p = 0.001
 
 
 class TestLogGamma:
