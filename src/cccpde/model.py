@@ -331,8 +331,7 @@ def train(model, dataset: Dataset, config: TrainConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            for p in params:
-                p.zero_grad()
+            adam.zero_grad(params)
             model.loss_and_grads(features[idx], labels[idx], rng=rng,
                                  flow_weight=config.flow_weight,
                                  disc_weight=config.disc_weight)
@@ -360,8 +359,7 @@ def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            for p in params:
-                p.zero_grad()
+            adam.zero_grad(params)
             model.loss_and_grads(x[idx], y[idx])
             adam.step(params)
     mu, sigma = model.predict(x)

@@ -6,6 +6,12 @@ output and stores nothing. `forward`/`backward` are the training pair:
 layer, and `backward` is valid only right after it. Every backward pass is
 checked against central differences in the test suite. Layers accumulate
 parameter gradients, so callers zero them before each optimizer step.
+
+Activations are branch-free numpy forms, bitwise equal to the per-sign
+boolean-mask forms (kept as references in the tests) on every input, NaN
+included. `AdamState` packs its Params into two flat vectors on first
+use; after the first step, write parameters in place (`p.value[...] = v`)
+and never rebind `p.value` or `p.grad`.
 """
 
 from __future__ import annotations
@@ -33,9 +39,6 @@ class Param:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 def activation(tag: str, x: np.ndarray) -> np.ndarray:
     """Elementwise activation for one of ACTIVATION_TAGS."""
@@ -44,22 +47,20 @@ def activation(tag: str, x: np.ndarray) -> np.ndarray:
     if tag == "tanh":
         return np.tanh(x)
     if tag == "sigmoid":
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere; it never
+        # overflows
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
     if tag == "elu":
-        out = x.copy()
-        neg = x < 0
-        out[neg] = np.expm1(x[neg])
-        return out
+        # expm1 in place: one temporary the size of x, not two
+        neg = np.minimum(x, 0.0)
+        np.expm1(neg, out=neg)
+        return np.where(x < 0, neg, x)
     if tag == "leaky_relu":
-        out = x.copy()
-        neg = x < 0
-        out[neg] = LEAKY_SLOPE * x[neg]
-        return out
+        # slope < 1, so the larger of x and slope * x is the leaky value;
+        # taken in place, so the output is the only temporary
+        out = LEAKY_SLOPE * x
+        return np.maximum(out, x, out=out)
     raise DomainError(f"unknown activation tag: {tag!r}")
 
 
@@ -74,14 +75,9 @@ def activation_grad(tag: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray
         s = activation("sigmoid", x)
         return upstream * s * (1.0 - s)
     if tag == "elu":
-        d = np.ones_like(x)
-        neg = x < 0
-        d[neg] = np.exp(x[neg])
-        return upstream * d
+        return upstream * np.where(x < 0, np.exp(np.minimum(x, 0.0)), 1.0)
     if tag == "leaky_relu":
-        d = np.ones_like(x)
-        d[x < 0] = LEAKY_SLOPE
-        return upstream * d
+        return upstream * np.where(x < 0, LEAKY_SLOPE, 1.0)
     raise DomainError(f"unknown activation tag: {tag!r}")
 
 
@@ -357,7 +353,16 @@ def gaussian_nll_loss(mu: np.ndarray, log_var: np.ndarray,
 
 
 class AdamState:
-    """Adam with bias correction; moment buffers allocate on first use."""
+    """Adam with bias correction over one flat parameter vector.
+
+    The first `step` or `zero_grad` packs the given Params: every value
+    and gradient is copied into one of two contiguous vectors, and each
+    Param then holds views into them, so a step is one in-place update of
+    the whole model and zeroing the gradients is one fill. From then on
+    every call must pass the same Params, and their arrays must be written
+    in place (`p.value[...] = v`, `p.grad += g`) and never rebound; a
+    rebound or foreign Param raises ShapeError.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -366,26 +371,58 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._views: list[tuple[np.ndarray, np.ndarray]] | None = None
+
+    def _pack(self, params: list[Param]) -> None:
+        """Pack on first use; afterwards check that `params` are the packed ones."""
+        if self._views is not None:
+            if len(params) != len(self._views) or any(
+                    p.value is not value or p.grad is not grad
+                    for p, (value, grad) in zip(params, self._views)):
+                raise ShapeError(
+                    "Adam was given other parameter arrays than on its first "
+                    "step; write parameters in place, never rebind them")
+            return
+        self._value = np.concatenate([p.value.ravel() for p in params] or [[]])
+        self._grad = np.concatenate([p.grad.ravel() for p in params] or [[]])
+        # moments, then two scratch vectors for the update
+        self._m, self._v, self._a, self._b = (
+            np.zeros_like(self._value) for _ in range(4))
+        start = 0
+        for p in params:
+            end = start + p.value.size
+            p.value = self._value[start:end].reshape(p.value.shape)
+            p.grad = self._grad[start:end].reshape(p.grad.shape)
+            start = end
+        self._views = [(p.value, p.grad) for p in params]
+
+    def zero_grad(self, params: list[Param]) -> None:
+        """Zero every gradient of `params` with one fill."""
+        self._pack(params)
+        self._grad.fill(0.0)
 
     def step(self, params: list[Param]) -> None:
-        """One update of every parameter from its accumulated gradient."""
-        if self._m is None:
-            self._m = [np.zeros_like(p.value) for p in params]
-            self._v = [np.zeros_like(p.value) for p in params]
-        if len(params) != len(self._m):
-            raise ShapeError("parameter group size changed between steps")
+        """One update of every parameter from its accumulated gradient.
+
+        Same arithmetic, in the same order, as the per-array update
+        value -= lr * (m / c1) / (sqrt(v / c2) + eps).
+        """
+        self._pack(params)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(params, self._m, self._v):
-            if p.value.shape != m.shape:
-                raise ShapeError(
-                    f"param shape {p.value.shape} != moment shape {m.shape}")
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g, m, v, a, b = self._grad, self._m, self._v, self._a, self._b
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self._value -= a

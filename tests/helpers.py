@@ -1,10 +1,13 @@
-"""Shared test utilities: error metrics, gradient oracles, AUC brute force."""
+"""Shared test utilities: error metrics, gradient oracles, AUC brute force,
+and the masked activations and per-array Adam that `cccpde.nn` replaced,
+kept as bit-exact references."""
 
 from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
 
+from cccpde.nn import LEAKY_SLOPE
 from cccpde.numerics import finite_diff_grad
 
 
@@ -19,7 +22,7 @@ def rel_err(a, b) -> float:
 def worst_param_grad_err(params, run_backward, eval_loss, h=1e-6) -> float:
     """Analytic parameter gradients vs central differences, worst case."""
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     run_backward()
     worst = 0.0
     for p in params:
@@ -110,3 +113,75 @@ def numerical_coupling_logdet(layer, x_row, h=1e-6) -> float:
     sign, logdet = np.linalg.slogdet(jac)
     assert sign != 0  # permutation parity may flip the sign; magnitude matters
     return float(logdet)
+
+
+def reference_activation(tag, x):
+    """Activation by boolean-mask assignment, one branch per sign."""
+    if tag == "identity":
+        return x
+    if tag == "tanh":
+        return np.tanh(x)
+    if tag == "sigmoid":
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+    if tag == "elu":
+        out = x.copy()
+        neg = x < 0
+        out[neg] = np.expm1(x[neg])
+        return out
+    if tag == "leaky_relu":
+        out = x.copy()
+        neg = x < 0
+        out[neg] = LEAKY_SLOPE * x[neg]
+        return out
+    raise ValueError(tag)
+
+
+def reference_activation_grad(tag, x, upstream):
+    """Upstream times a derivative array filled by boolean-mask assignment."""
+    if tag == "identity":
+        return upstream
+    if tag == "tanh":
+        t = np.tanh(x)
+        return upstream * (1.0 - t * t)
+    if tag == "sigmoid":
+        s = reference_activation("sigmoid", x)
+        return upstream * s * (1.0 - s)
+    if tag == "elu":
+        d = np.ones_like(x)
+        neg = x < 0
+        d[neg] = np.exp(x[neg])
+        return upstream * d
+    if tag == "leaky_relu":
+        d = np.ones_like(x)
+        d[x < 0] = LEAKY_SLOPE
+        return upstream * d
+    raise ValueError(tag)
+
+
+class ReferenceAdam:
+    """Adam as a loop over the parameter arrays, one moment pair each."""
+
+    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.moments = None
+
+    def step(self, params):
+        if self.moments is None:
+            self.moments = [(np.zeros_like(p.value), np.zeros_like(p.value))
+                            for p in params]
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, (m, v) in zip(params, self.moments):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

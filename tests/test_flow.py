@@ -190,7 +190,7 @@ class TestStatelessInference:
 
         def gradients(interleave):
             for p in layer.params():
-                p.zero_grad()
+                p.grad[...] = 0.0
             y, log_det = layer.forward(xa)
             if interleave:
                 yb, _ = layer(xb)

@@ -23,12 +23,25 @@ from cccpde.nn import (
 )
 from cccpde.numerics import Rng, finite_diff_grad
 
+from cccpde.model import CccpDeModel
+
 from helpers import (
+    ReferenceAdam,
     input_grad_err,
     mp_central_diff_grad,
+    reference_activation,
+    reference_activation_grad,
     rel_err,
     worst_param_grad_err,
 )
+
+# signed zeros, subnormals, exp's overflow edge, the float64 extremes,
+# infinities and NaN, plus a few ordinary values
+EDGE_INPUTS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    700.0, -700.0, 1e308, -1e308, np.inf, -np.inf, np.nan,
+    1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0,
+])
 
 
 def mp_weighted_layer_norm(flat, norm, weights):
@@ -100,13 +113,35 @@ class TestActivations:
 
     @pytest.mark.parametrize("tag", ACTIVATION_TAGS)
     def test_grad_matches_finite_differences(self, tag):
-        rng = Rng(hash(tag) & 0xFFFF)
+        rng = Rng(ACTIVATION_TAGS.index(tag))
         x = 4.0 * rng.uniforms(200) - 2.0
         x = x[np.abs(x) > 1e-3][:100]  # keep clear of the leaky_relu kink
         ones = np.ones_like(x)
         fd = finite_diff_grad(
             lambda v: float(activation(tag, v).sum()), x.copy(), 1e-6)
         assert rel_err(fd, activation_grad(tag, x, ones)) < 1e-6
+
+    @pytest.mark.parametrize("tag", ACTIVATION_TAGS)
+    def test_bitwise_equal_to_masked_reference(self, tag):
+        x = np.concatenate([EDGE_INPUTS, 30.0 * Rng(8).normals(200)])
+        upstream = np.concatenate([np.ones(EDGE_INPUTS.size),
+                                   Rng(9).normals(200)])
+        with np.errstate(all="ignore"):
+            ref = reference_activation(tag, x)
+            ref_grad = reference_activation_grad(tag, x, upstream)
+        assert np.array_equal(activation(tag, x), ref, equal_nan=True)
+        assert np.array_equal(activation_grad(tag, x, upstream), ref_grad,
+                              equal_nan=True)
+        # the same holds on 2-D blocks, which is how the layers call them
+        block = x[:220].reshape(11, 20)
+        assert np.array_equal(activation(tag, block),
+                              ref[:220].reshape(11, 20), equal_nan=True)
+
+    @pytest.mark.parametrize("tag", ACTIVATION_TAGS)
+    def test_edge_inputs_raise_no_float_warning(self, tag):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            activation(tag, EDGE_INPUTS)
+            activation_grad(tag, EDGE_INPUTS, np.ones(EDGE_INPUTS.size))
 
 
 class TestLayerNorm:
@@ -253,6 +288,64 @@ class TestAdam:
         state.step([Param(np.zeros(3))])
         with pytest.raises(ShapeError):
             state.step([Param(np.zeros(4))])
+
+    def test_fresh_params_after_first_step_rejected(self):
+        state = AdamState(lr=0.1)
+        packed = [Param(np.ones(3)), Param(np.ones((2, 2)))]
+        for p in packed:
+            p.grad[...] = 1.0
+        state.step(packed)
+        before = [p.value.copy() for p in packed]
+        fresh = [Param(np.ones(3)), Param(np.ones((2, 2)))]
+        for p in fresh:
+            p.grad[...] = 1.0
+        with pytest.raises(ShapeError):
+            state.step(fresh)
+        with pytest.raises(ShapeError):
+            state.zero_grad(fresh)
+        assert all(np.array_equal(p.value, b) for p, b in zip(packed, before))
+        assert all((p.value == 1.0).all() for p in fresh)
+        assert state.t == 1
+
+    def test_rebound_value_rejected(self):
+        state = AdamState()
+        w = Param(np.zeros(3))
+        state.step([w])
+        w.value = np.ones(3)
+        with pytest.raises(ShapeError):
+            state.step([w])
+
+    def test_zero_grad_is_one_fill_over_views(self):
+        state = AdamState()
+        params = [Param(np.ones(3)), Param(np.ones((2, 4)))]
+        for p in params:
+            p.grad[...] = 5.0
+        state.zero_grad(params)
+        assert all(not p.grad.any() for p in params)
+        # packed arrays keep their shapes and live in one shared vector
+        assert [p.value.shape for p in params] == [(3,), (2, 4)]
+        assert params[0].value.base is params[1].value.base is not None
+        assert np.array_equal(params[1].value, np.ones((2, 4)))
+
+    def test_bitwise_equal_to_per_array_reference(self):
+        # the 2-D quick-start model: head depth 2, 98 parameter arrays
+        packed = CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()
+        looped = CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()
+        assert len(packed) == 98
+        state, reference = AdamState(), ReferenceAdam()
+        rng = Rng(10)
+        for _ in range(20):
+            for a, b in zip(packed, looped):
+                g = rng.normals(a.grad.size).reshape(a.grad.shape)
+                g *= 10.0 ** (6.0 * rng.uniforms(1)[0] - 4.0)
+                a.grad[...] = g
+                b.grad[...] = g
+            state.step(packed)
+            reference.step(looped)
+        assert all(np.array_equal(a.value, b.value)
+                   for a, b in zip(packed, looped))
+        assert not all(np.array_equal(a.value, b.value) for a, b in zip(
+            packed, CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()))
 
 
 class TestDenseBlock:
