@@ -56,7 +56,7 @@ from .nn import (
     SigmoidHead,
     activation,
     activation_grad,
-    bce_loss,
+    bce_with_logits,
     dropout,
     gaussian_nll_loss,
 )

@@ -43,6 +43,7 @@ _E1 = 2.0 ** -1.5
 _NEWTON_MAX_ITER = 200
 _STEP_TOL = 1e-15
 _BRACKET_TOL = 1e-14
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -491,10 +492,10 @@ def _quantiles(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with I_x(a, b) = q for 1-D arrays with 0 < q < 1.
 
     Newton steps stay inside a bracket [lo, hi] that every evaluation
-    narrows; a step that would leave it bisects instead. A row stops once
-    its step is at most 1e-15 or its bracket is under 1e-14 (absolute, so
-    a quantile below 1e-15 keeps few correct digits). A row whose CDF does
-    not converge reads nan.
+    narrows; a step that would leave it bisects at the geometric mean. A
+    row stops once its step is at most 1e-15 of x or its bracket under
+    1e-14 of hi (relative down to the least normal float), so a tiny
+    quantile keeps its digits. A row whose CDF does not converge reads nan.
     """
     inc = _IncompleteBeta(a, b)
     out = np.empty_like(q)
@@ -507,15 +508,16 @@ def _quantiles(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         below = cdf < qr
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        # Newton step F / F' with F' = x^(a-1) (1-x)^(b-1) / B(a, b)
-        step = np.where(cdf == qr, 0.0,
-                        (cdf - qr) * (x * (1.0 - x)) / np.exp(log_front))
+        # Newton step F / F', F' = x^(a-1) (1-x)^(b-1) / B(a, b), in logs
+        step = np.where(cdf == qr, 0.0, (cdf - qr) * np.exp(
+            np.log(x * (1.0 - x)) - log_front))
         new = x - step
-        small = np.abs(step) <= _STEP_TOL
-        new = np.where(small | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+        small = np.abs(step) <= _STEP_TOL * x
+        new = np.where(small | ((new > lo) & (new < hi)), np.clip(new, lo, hi),
+                       np.sqrt(np.maximum(lo, 5e-324)) * np.sqrt(hi))
         failed = np.isnan(cdf)
         new = np.where(failed, np.nan, new)
-        done = small | (hi - lo < _BRACKET_TOL) | failed
+        done = small | (hi - lo < _BRACKET_TOL * np.maximum(hi, _TINY)) | failed
         out[rows[done]] = new[done]
         keep = ~done
         if not keep.any():

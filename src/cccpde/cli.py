@@ -137,10 +137,8 @@ _TRAIN_SETTINGS = {
 def _cmd_train(args) -> int:
     cfg = _resolve(args)
     dataset = load_csv(args.data)
-    config = TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"], flow_weight=cfg["flow_weight"],
-        disc_weight=cfg["disc_weight"])
+    config = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                         learning_rate=cfg["learning_rate"])
     init_rng = Rng(derive_seed(cfg["seed"], "init"))
     if args.model == "ffnn":
         model = FfnnModel(dataset.dim, cfg["hidden"], cfg["ffnn_blocks"],
@@ -149,7 +147,9 @@ def _cmd_train(args) -> int:
         n_classes = max(dataset.n_classes, 2)
         model = CccpDeModel(dataset.dim, n_classes, cfg["hidden"],
                             cfg["base_depth"], cfg["head_depth"],
-                            cfg["disc_blocks"], cfg["dropout"], init_rng)
+                            cfg["disc_blocks"], cfg["dropout"], init_rng,
+                            flow_weight=cfg["flow_weight"],
+                            disc_weight=cfg["disc_weight"])
     if cfg["standardize"]:
         model.standardizer = Standardizer.fit(dataset.features)
     trace = train(model, dataset, config, Rng(derive_seed(cfg["seed"], "shuffle")))

@@ -5,7 +5,8 @@ class-conditional coupling-flow estimator (shared coupling base, one
 coupling head per class, plus an auxiliary sigmoid head), and a small
 heteroscedastic Gaussian regressor. Training is plain minibatch Adam over
 seed-shuffled epochs; the per-epoch loss trace is evaluated in inference
-mode on the full training set, so a reloaded model reproduces it exactly.
+mode on the full training set, so a reloaded model reproduces it exactly
+given the joint model's loss weights (not stored; 1.0 after loading).
 
 Models may carry a Standardizer; public densities and scores then accept
 raw feature space and include the change-of-scale correction, while
@@ -27,7 +28,7 @@ from .nn import (
     MLP,
     Param,
     SigmoidHead,
-    bce_loss,
+    bce_with_logits,
     gaussian_nll_loss,
 )
 from .numerics import Rng
@@ -38,14 +39,12 @@ from .serialize import read_state, write_state
 class TrainConfig:
     """Optimizer settings of a training run; desk-scale defaults.
 
-    Network sizes and dropout are arguments of the model constructors.
+    Network sizes, dropout and loss weights are model constructor arguments.
     """
 
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 1e-3
-    flow_weight: float = 1.0
-    disc_weight: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -54,8 +53,6 @@ class TrainConfig:
             raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise DomainError("learning rate must be positive")
-        if self.flow_weight < 0 or self.disc_weight < 0:
-            raise DomainError("loss weights must be nonnegative")
 
 
 def _check_network(sizes_ok: bool, dropout_rate: float) -> None:
@@ -86,16 +83,13 @@ class FfnnModel:
         """Positive-class probabilities, deterministic inference pass."""
         return self.head(self._model_space(x))
 
-    # this model ignores the loss weights; `train` passes them to both kinds
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       rng: Rng | None = None, flow_weight: float = 1.0,
-                       disc_weight: float = 1.0) -> float:
+                       rng: Rng | None = None) -> float:
         return self.head.loss_and_grads(self._model_space(x), y, rng,
                                         training=True)[0]
 
-    def eval_loss(self, x: np.ndarray, y: np.ndarray,
-                  flow_weight: float = 1.0, disc_weight: float = 1.0) -> float:
-        return bce_loss(self.score(x), y)[0]
+    def eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
+        return bce_with_logits(self.head.logits(self._model_space(x)), y)[0]
 
     def params(self) -> list[Param]:
         return self.head.params()
@@ -115,9 +109,7 @@ class FfnnModel:
 
     @classmethod
     def from_state(cls, meta: dict, arrays: list) -> "FfnnModel":
-        model = cls(int(meta["dim"]), int(meta["hidden"]),
-                    int(meta["n_blocks"]), float(meta["dropout"]), rng=None)
-        return _fill(model, meta, arrays)
+        return _build(cls, meta, arrays, "dim", "hidden", "n_blocks")
 
 
 class CccpDeModel:
@@ -131,11 +123,16 @@ class CccpDeModel:
     def __init__(self, dim: int, n_classes: int = 2, hidden: int = 64,
                  base_depth: int = 3, head_depth: int = 1,
                  disc_blocks: int = 3, dropout_rate: float = 0.05,
-                 rng: Rng | None = None):
+                 rng: Rng | None = None, *, flow_weight: float = 1.0,
+                 disc_weight: float = 1.0):
         if n_classes < 2:
             raise DomainError(f"need at least 2 classes, got {n_classes}")
         _check_network(min(hidden, head_depth, disc_blocks) >= 1
                        and base_depth >= 0, dropout_rate)
+        if flow_weight < 0 or disc_weight < 0:
+            raise DomainError("loss weights must be nonnegative")
+        self.flow_weight = flow_weight
+        self.disc_weight = disc_weight
         self.dim = dim
         self.n_classes = n_classes
         self.hidden = hidden
@@ -156,19 +153,24 @@ class CccpDeModel:
             return x, 0.0
         return self.standardizer.apply(x), self.standardizer.log_volume_scale
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class log-densities (n, M) and sigmoid scores (n,)."""
+    def _flows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-class log-densities (n, M) and the base output; no disc head."""
         xs, correction = self._model_space(x)
         base_out, log_det_base = self.base(xs)
         log_d = np.empty((xs.shape[0], self.n_classes))
         for k, head in enumerate(self.heads):
             z, log_det_head = head(base_out)
             log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
-        return log_d + correction, self.disc(base_out)
+        return log_d + correction, base_out
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-class log-densities (n, M) and sigmoid scores (n,)."""
+        log_d, base_out = self._flows(x)
+        return log_d, self.disc(base_out)
 
     def log_densities(self, x: np.ndarray) -> np.ndarray:
         """Per-class log-densities in raw input space."""
-        return self.forward(x)[0]
+        return self._flows(x)[0]
 
     def sample_class(self, class_index: int, rng: Rng, n: int) -> np.ndarray:
         """Draw from one class head: latent draws inverted through head and base."""
@@ -189,13 +191,13 @@ class CccpDeModel:
         return labels.astype(np.int64)
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
-                       rng: Rng | None = None, flow_weight: float = 1.0,
-                       disc_weight: float = 1.0) -> float:
+                       rng: Rng | None = None) -> float:
         labels = self._check_labels(labels)
         xs, _ = self._model_space(x)
         n = xs.shape[0]
         base_out, log_det_base = self.base.forward(xs)
         g_base_out = np.zeros_like(base_out)
+        w_flow = self.flow_weight / n
         flow_nll = 0.0
         for k in np.unique(labels):
             rows = np.nonzero(labels == k)[0]
@@ -203,16 +205,14 @@ class CccpDeModel:
             z, log_det_head = head.forward(base_out[rows])
             log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
             flow_nll -= float(log_p.sum())
-            g_z = (flow_weight / n) * z
-            g_log_det = np.full(rows.size, -flow_weight / n)
-            g_base_out[rows] += head.backward(g_z, g_log_det)
+            g_base_out[rows] += head.backward(w_flow * z,
+                                              np.full(rows.size, -w_flow))
         disc_loss, g_disc = self.disc.loss_and_grads(
-            base_out, labels, rng, training=True, weight=disc_weight)
-        self.base.backward(g_base_out + g_disc, np.full(n, -flow_weight / n))
-        return flow_weight * flow_nll / n + disc_weight * disc_loss
+            base_out, labels, rng, training=True, weight=self.disc_weight)
+        self.base.backward(g_base_out + g_disc, np.full(n, -w_flow))
+        return self.flow_weight * flow_nll / n + self.disc_weight * disc_loss
 
-    def eval_loss(self, x: np.ndarray, labels: np.ndarray,
-                  flow_weight: float = 1.0, disc_weight: float = 1.0) -> float:
+    def eval_loss(self, x: np.ndarray, labels: np.ndarray) -> float:
         labels = self._check_labels(labels)
         xs, _ = self._model_space(x)
         n = xs.shape[0]
@@ -223,8 +223,8 @@ class CccpDeModel:
             z, log_det_head = self.heads[k](base_out[rows])
             log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
             flow_nll -= float(log_p.sum())
-        disc_loss, _ = bce_loss(self.disc(base_out), labels)
-        return flow_weight * flow_nll / n + disc_weight * disc_loss
+        disc_loss, _ = bce_with_logits(self.disc.logits(base_out), labels)
+        return self.flow_weight * flow_nll / n + self.disc_weight * disc_loss
 
     def record_class_stats(self, labels: np.ndarray) -> None:
         labels = self._check_labels(labels)
@@ -263,11 +263,8 @@ class CccpDeModel:
 
     @classmethod
     def from_state(cls, meta: dict, arrays: list) -> "CccpDeModel":
-        model = cls(int(meta["dim"]), int(meta["n_classes"]),
-                    int(meta["hidden"]), int(meta["base_depth"]),
-                    int(meta["head_depth"]), int(meta["disc_blocks"]),
-                    float(meta["dropout"]), rng=None)
-        return _fill(model, meta, arrays)
+        return _build(cls, meta, arrays, "dim", "n_classes", "hidden",
+                      "base_depth", "head_depth", "disc_blocks")
 
 
 class GlmRegressor:
@@ -332,12 +329,9 @@ def train(model, dataset: Dataset, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             adam.zero_grad(params)
-            model.loss_and_grads(features[idx], labels[idx], rng=rng,
-                                 flow_weight=config.flow_weight,
-                                 disc_weight=config.disc_weight)
+            model.loss_and_grads(features[idx], labels[idx], rng=rng)
             adam.step(params)
-        trace.append(model.eval_loss(features, labels,
-                                     config.flow_weight, config.disc_weight))
+        trace.append(model.eval_loss(features, labels))
     return trace
 
 
@@ -388,8 +382,13 @@ def load_model(path):
     return cls.from_state(meta, arrays)
 
 
-def _fill(model, meta: dict, arrays: list):
-    """Copy a model file's arrays into a freshly built model, checking each."""
+def _build(cls, meta: dict, arrays: list, *sizes: str):
+    """Build a model from the size keys and dropout of a model file's
+    metadata, then copy in the file's arrays, checking each."""
+    for key in sizes + ("dropout",):
+        if key not in meta:
+            raise ModelFormatError(f"model file is missing metadata {key!r}")
+    model = cls(*(int(meta[key]) for key in sizes), meta["dropout"])
     if meta.get("has_standardizer"):
         model.standardizer = Standardizer(np.zeros(model.dim), np.ones(model.dim))
     stored = {}

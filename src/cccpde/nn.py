@@ -7,6 +7,9 @@ layer, and `backward` is valid only right after it. Every backward pass is
 checked against central differences in the test suite. Layers accumulate
 parameter gradients, so callers zero them before each optimizer step.
 
+The classification loss, `bce_with_logits`, reads logits, never
+probabilities, so its gradient has no clip and no dead zone.
+
 Activations are branch-free numpy forms, bitwise equal to the per-sign
 boolean-mask forms (kept as references in the tests) on every input, NaN
 included. `AdamState` packs its Params into two flat vectors on first
@@ -24,7 +27,6 @@ from .errors import DomainError, ShapeError
 from .numerics import LOG_TWO_PI, Rng
 
 LEAKY_SLOPE = 0.01
-PROB_CLAMP = 1e-7
 LAYER_NORM_EPS = 1e-5
 
 ACTIVATION_TAGS = ("elu", "leaky_relu", "tanh", "sigmoid", "identity")
@@ -283,12 +285,16 @@ class SigmoidHead:
         ]
         self.out = DenseLayer(hidden, 1, rng)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Per-row probabilities, inference mode."""
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Per-row logits, inference mode."""
         h = x
         for block in self.blocks:
             h = block(h)
-        return activation("sigmoid", self.out(h).ravel())
+        return self.out(h).ravel()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Per-row probabilities, inference mode."""
+        return activation("sigmoid", self.logits(x))
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray, rng: Rng | None,
                        training: bool,
@@ -298,9 +304,8 @@ class SigmoidHead:
         h = x
         for block in self.blocks:
             h = block.forward(h, rng, training)
-        p = activation("sigmoid", self.out.forward(h).ravel())
-        loss, grad_p = bce_loss(p, y)
-        g = self.out.backward((weight * grad_p * p * (1.0 - p))[:, None])
+        loss, grad = bce_with_logits(self.out.forward(h).ravel(), y)
+        g = self.out.backward((weight * grad)[:, None])
         for block in reversed(self.blocks):
             g = block.backward(g)
         return loss, g
@@ -310,23 +315,16 @@ class SigmoidHead:
         return out + self.out.params()
 
 
-def bce_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross entropy on probabilities.
-
-    Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs; the
-    returned gradient is exact for the clamped function (zero where the
-    clamp is active).
-    """
-    p = np.asarray(p, dtype=np.float64)
+def bce_with_logits(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean BCE of sigmoid(l) against labels y: mean(log(1 + e^l) - y l),
+    with logaddexp(0, l) so no logit overflows, and its exact gradient
+    (sigmoid(l) - y) / n at every logit, saturated ones included."""
+    logits = np.asarray(logits, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ShapeError(f"probability shape {p.shape} != label shape {y.shape}")
-    clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    n = p.size
-    loss = float(np.mean(-(y * np.log(clamped) + (1.0 - y) * np.log1p(-clamped))))
-    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-    grad = np.where(inside, (clamped - y) / (clamped * (1.0 - clamped)), 0.0) / n
-    return loss, grad
+    if logits.shape != y.shape:
+        raise ShapeError(f"logit shape {logits.shape} != label shape {y.shape}")
+    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+    return loss, (activation("sigmoid", logits) - y) / logits.size
 
 
 def gaussian_nll_loss(mu: np.ndarray, log_var: np.ndarray,

@@ -382,6 +382,11 @@ class TestArrayApi:
                 x = beta_quantile(q, a, b)
                 assert beta_cdf_window_oracle(max(x - 1e-12, 0.0), a, b) <= q
                 assert beta_cdf_window_oracle(min(x + 1e-12, 1.0), a, b) >= q
+        # a quantile far below 1e-15 keeps its relative digits
+        for q, a, b in ((0.025, 0.1, 2.0), (0.025, 0.5, 1e12), (0.025, 1.0, 1e20),
+                        (0.5, 1.0, 1e20), (1e-300, 2.0, 2.0)):
+            x = beta_quantile(q, a, b)
+            assert beta_cdf(x, a, b) == pytest.approx(q, rel=1e-12)
 
     def test_error_names_the_row(self):
         with pytest.raises(DomainError, match="row 2"):

@@ -86,7 +86,7 @@ class TestTrain:
         final = float(trace[-1].split(",")[1])
         model = load_model(toy_run["cc"])
         ds = load_csv(toy_run["data"] / "train.csv")
-        again = model.eval_loss(ds.features, ds.labels, 1.0, 1.0)
+        again = model.eval_loss(ds.features, ds.labels)
         assert abs(again - final) < 1e-12
 
     def test_config_file_layering(self, toy_run, tmp_path):
@@ -117,7 +117,8 @@ class TestTrain:
         ("--head-depth", 0, "network sizes must be positive"),
         ("--disc-blocks", 0, "network sizes must be positive"),
         ("--dropout", 1.0, "dropout must lie in"),
-    ], ids=["hidden", "head-depth", "disc-blocks", "dropout"])
+        ("--flow-weight", -1, "loss weights must be nonnegative"),
+    ], ids=["hidden", "head-depth", "disc-blocks", "dropout", "flow-weight"])
     def test_invalid_size_is_runtime_error(self, toy_run, tmp_path, capsys,
                                            flag, value, message):
         assert run("train", "--model", "cccpde",

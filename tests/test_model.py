@@ -25,7 +25,7 @@ from cccpde.model import (
     save_model,
     train,
 )
-from cccpde.nn import AdamState, bce_loss
+from cccpde.nn import AdamState, activation, bce_with_logits
 from cccpde.numerics import Rng, derive_seed
 from cccpde.serialize import read_state, write_state
 
@@ -66,6 +66,18 @@ class TestCccpDeForward:
         with pytest.raises(ShapeError):
             small_model(dim=4).forward(np.zeros((2, 3)))
 
+    def test_log_densities_run_only_the_flows(self, monkeypatch):
+        model = small_model()
+        model.standardizer = Standardizer(np.full(4, 0.5), np.full(4, 2.0))
+        x = Rng(4).normals(40).reshape(10, 4)
+        expected = model.forward(x)[0]
+
+        def no_disc(_):
+            raise AssertionError("log_densities ran the sigmoid head")
+
+        monkeypatch.setattr(model, "disc", no_disc)
+        assert np.array_equal(model.log_densities(x), expected)
+
 
 class TestStatelessInference:
     def test_forward_holds_no_row_state(self):
@@ -91,14 +103,19 @@ class TestJointLoss:
         model = small_model(seed=12)
         x = Rng(13).normals(24).reshape(6, 4)
         y = np.array([0, 1, 1, 0, 1, 0])
-        flow_only = model.eval_loss(x, y, 1.0, 0.0)
-        disc_only = model.eval_loss(x, y, 0.0, 1.0)
+        model.flow_weight, model.disc_weight = 1.0, 0.0
+        flow_only = model.eval_loss(x, y)
+        model.flow_weight, model.disc_weight = 0.0, 1.0
+        disc_only = model.eval_loss(x, y)
         log_d = model.log_densities(x)
         expected_nll = float(-log_d[np.arange(6), y].mean())
         assert flow_only == pytest.approx(expected_nll, rel=1e-12)
-        expected_bce = bce_loss(model.forward(x)[1], y.astype(float))[0]
+        logits = model.disc.logits(model.base(x)[0])
+        assert np.array_equal(model.forward(x)[1], activation("sigmoid", logits))
+        expected_bce = bce_with_logits(logits, y.astype(float))[0]
         assert disc_only == pytest.approx(expected_bce, rel=1e-12)
-        both = model.eval_loss(x, y, 1.0, 1.0)
+        model.flow_weight, model.disc_weight = 1.0, 1.0
+        both = model.eval_loss(x, y)
         assert both == pytest.approx(flow_only + disc_only, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -107,13 +124,35 @@ class TestJointLoss:
         y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
         def run_backward():
-            model.loss_and_grads(x, y, flow_weight=1.0, disc_weight=1.0)
+            model.loss_and_grads(x, y)
 
         def eval_loss():
-            return model.eval_loss(x, y, 1.0, 1.0)
+            return model.eval_loss(x, y)
 
         assert worst_param_grad_err(model.params(), run_backward,
                                     eval_loss, h=1e-6) < 1e-4
+
+    def test_weighted_gradients_match_finite_differences(self):
+        model = CccpDeModel(4, 2, hidden=6, base_depth=2, disc_blocks=2,
+                            dropout_rate=0.0, rng=Rng(14), flow_weight=0.3,
+                            disc_weight=2.5)
+        x = Rng(15).normals(32).reshape(8, 4)
+        y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
+        assert worst_param_grad_err(
+            model.params(), lambda: model.loss_and_grads(x, y),
+            lambda: model.eval_loss(x, y), h=1e-6) < 1e-4
+
+    def test_weights_are_checked_and_not_stored(self, tmp_path):
+        with pytest.raises(DomainError,
+                           match="loss weights must be nonnegative"):
+            CccpDeModel(2, disc_weight=-1.0)
+        plain, weighted = tmp_path / "plain.bin", tmp_path / "weighted.bin"
+        save_model(CccpDeModel(2, rng=Rng(16)), plain)
+        save_model(CccpDeModel(2, rng=Rng(16), flow_weight=0.5,
+                               disc_weight=2.0), weighted)
+        assert plain.read_bytes() == weighted.read_bytes()
+        loaded = load_model(weighted)
+        assert (loaded.flow_weight, loaded.disc_weight) == (1.0, 1.0)
 
     def test_label_range_validated(self):
         model = small_model()
@@ -357,6 +396,20 @@ class TestLoaderChecks:
         arrays = [(n, a[:, :-1] if n == name else a) for n, a in arrays]
         with pytest.raises(ModelFormatError, match=re.escape(name)):
             self.rewrite_and_load(path, kind, meta, arrays)
+
+    @pytest.mark.parametrize("build", [
+        lambda: small_model(dim=2, seed=38),
+        lambda: FfnnModel(2, hidden=4, n_blocks=1, rng=Rng(39)),
+    ], ids=["cccpde", "ffnn"])
+    def test_missing_metadata(self, tmp_path, build):
+        path = tmp_path / "model.bin"
+        save_model(build(), path)
+        kind, meta, arrays = read_state(path)
+        for key in sorted(set(meta) - {"has_standardizer"}):
+            dropped = {k: v for k, v in meta.items() if k != key}
+            with pytest.raises(ModelFormatError,
+                               match=re.escape(f"missing metadata {key!r}")):
+                self.rewrite_and_load(path, kind, dropped, arrays)
 
     def test_perm_not_a_permutation(self, tmp_path):
         path, (kind, meta, arrays) = self.stored(tmp_path)

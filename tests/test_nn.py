@@ -17,7 +17,7 @@ from cccpde.nn import (
     SigmoidHead,
     activation,
     activation_grad,
-    bce_loss,
+    bce_with_logits,
     dropout,
     gaussian_nll_loss,
 )
@@ -206,28 +206,47 @@ class TestDropout:
             dropout(np.ones(3), 1.0, Rng(0), True)
 
 
+def softplus_bce(logits, y):
+    """Mean BCE on logits written as max(l, 0) + log1p(e^-|l|) - y l."""
+    return float(np.mean(np.maximum(logits, 0.0)
+                         + np.log1p(np.exp(-np.abs(logits))) - y * logits))
+
+
 class TestLosses:
     def test_bce_half(self):
-        loss, _ = bce_loss(np.array([0.5]), np.array([1.0]))
+        loss, _ = bce_with_logits(np.array([0.0]), np.array([1.0]))
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
-    def test_bce_perfect_is_clamped(self):
-        loss, _ = bce_loss(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        assert 0.0 <= loss <= -math.log1p(-1e-7) + 1e-12
+    def test_bce_saturated_logits_have_exact_gradients(self):
+        # past the clip the old probability form had: loss and gradient
+        # follow the logit, nothing is cut off
+        logits = np.array([800.0, -800.0, -800.0, 800.0, -20.7])
+        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        loss, grad = bce_with_logits(logits, y)
+        assert loss == pytest.approx((800.0 + 800.0 + 20.7) / 5, rel=1e-12)
+        assert np.array_equal(grad[:4], [0.0, 0.0, -0.2, 0.2])
+        assert grad[4] == pytest.approx(-0.2, rel=1e-8)
 
     def test_bce_nonnegative(self):
         rng = Rng(3)
-        p = rng.uniforms(50)
+        logits = 5.0 * rng.normals(50)
         y = (rng.uniforms(50) > 0.5).astype(float)
-        assert bce_loss(p, y)[0] >= 0.0
+        assert bce_with_logits(logits, y)[0] >= 0.0
 
     def test_bce_grad_matches_finite_differences(self):
         rng = Rng(12)
-        p = 0.05 + 0.9 * rng.uniforms(20)
+        logits = 3.0 * rng.normals(20)
+        logits[:4] = [25.0, -25.0, 40.0, -40.0]
         y = (rng.uniforms(20) > 0.5).astype(float)
-        _, grad = bce_loss(p, y)
-        fd = finite_diff_grad(lambda v: bce_loss(v, y)[0], p.copy(), 1e-7)
+        _, grad = bce_with_logits(logits, y)
+        fd = finite_diff_grad(lambda v: bce_with_logits(v, y)[0],
+                              logits.copy(), 1e-6)
         assert rel_err(fd, grad) < 1e-6
+        assert np.array_equal(grad, (activation("sigmoid", logits) - y) / 20)
+
+    def test_bce_rejects_mismatched_labels(self):
+        with pytest.raises(ShapeError):
+            bce_with_logits(np.zeros(3), np.zeros(2))
 
     def test_gaussian_nll_zero_residual(self):
         loss, _, _ = gaussian_nll_loss(np.array([2.0]), np.array([0.0]),
@@ -418,7 +437,8 @@ class TestSigmoidHead:
         x = Rng(67).normals(18).reshape(6, 3)
         y = np.array([0, 1, 1, 0, 1, 0])
         loss, _ = head.loss_and_grads(x, y, None, False)
-        assert loss == bce_loss(head(x), y)[0]
+        assert loss == bce_with_logits(head.logits(x), y)[0]
+        assert np.array_equal(head(x), activation("sigmoid", head.logits(x)))
 
     def test_gradients_match_finite_differences(self):
         head = SigmoidHead(3, 5, 2, 0.0, Rng(68))
@@ -427,7 +447,31 @@ class TestSigmoidHead:
         weight = 0.7
 
         def loss(v=x):
-            return weight * bce_loss(head(v), y)[0]
+            return weight * bce_with_logits(head.logits(v), y)[0]
+
+        assert worst_param_grad_err(
+            head.params(),
+            lambda: head.loss_and_grads(x, y, None, True, weight),
+            loss) < 1e-5
+        fd = finite_diff_grad(loss, x.copy(), 1e-6)
+        _, g = head.loss_and_grads(x, y, None, True, weight)
+        assert rel_err(fd, g) < 1e-5
+
+    def test_saturated_logits_match_softplus_finite_differences(self):
+        # logits of 20 and more, every label on the wrong side: a clipped
+        # probability loss would return zero gradients here
+        head = SigmoidHead(3, 5, 2, 0.0, Rng(70))
+        x = Rng(71).normals(18).reshape(6, 3)
+        head.out.bias.value[...] = 0.0
+        head.out.weight.value *= 30.0 / np.abs(head.logits(x)).min()
+        logits = head.logits(x)
+        assert np.abs(logits).min() >= 20.0 and (logits > 0).any() \
+            and (logits < 0).any()
+        y = (logits < 0).astype(float)
+        weight = 0.7
+
+        def loss(v=x):
+            return weight * softplus_bce(head.logits(v), y)
 
         assert worst_param_grad_err(
             head.params(),
