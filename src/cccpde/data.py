@@ -170,9 +170,8 @@ def save_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cols = ",".join(f"f{j}" for j in range(ds.dim))
         fh.write(f"label,{cols}\n")
-        for label, row in zip(ds.labels, ds.features):
-            fh.write(str(int(label)) + ","
-                     + ",".join(repr(float(v)) for v in row) + "\n")
+        for label, row in zip(ds.labels.tolist(), ds.features):
+            fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_csv(path) -> Dataset:

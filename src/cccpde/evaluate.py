@@ -157,37 +157,46 @@ def density_grid(model, bounds: tuple[float, float, float, float],
 # -- CSV export ---------------------------------------------------------------
 
 
+def _write_rows(fh, table: np.ndarray) -> None:
+    """One line per row of a float table, each float in round-trip repr.
+
+    Rows become Python floats one at a time, so no copy of the whole table
+    is ever held as Python objects.
+    """
+    for row in np.asarray(table, dtype=np.float64):
+        fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
 def write_roc_csv(curve: RocCurve, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("fpr,tpr,threshold\n")
-        for f, t, thr in zip(curve.fpr, curve.tpr, curve.thresholds):
-            fh.write(f"{float(f)!r},{float(t)!r},{float(thr)!r}\n")
+        _write_rows(fh, np.column_stack([curve.fpr, curve.tpr,
+                                         curve.thresholds]))
 
 
 def write_reports_csv(path, labels, score_ffnn, score_sigmoid,
                       log_densities, batch: PosteriorBatch) -> None:
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).astype(np.int64).tolist()
+    abstain = np.asarray(batch.abstain).astype(np.int64).tolist()
+    table = np.column_stack([
+        score_ffnn, score_sigmoid, log_densities[:, 0], log_densities[:, 1],
+        batch.mean, batch.lo, batch.hi]).astype(np.float64, copy=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,label,score_ffnn,score_sigmoid,"
                  "logp_class0,logp_class1,post_mean,ci_lo,ci_hi,abstain\n")
-        for i in range(len(batch)):
-            fh.write(
-                f"{i},{int(labels[i])},{float(score_ffnn[i])!r},"
-                f"{float(score_sigmoid[i])!r},"
-                f"{float(log_densities[i, 0])!r},{float(log_densities[i, 1])!r},"
-                f"{float(batch.mean[i])!r},{float(batch.lo[i])!r},"
-                f"{float(batch.hi[i])!r},{int(batch.abstain[i])}\n")
+        for i, (label, row, flag) in enumerate(
+                zip(labels, table, abstain, strict=True)):
+            fh.write(f"{i},{label}," + ",".join(map(repr, row.tolist()))
+                     + f",{flag}\n")
 
 
 def write_density_grid_csv(path, xs, ys, log_d, total) -> None:
+    """Rows vary x fastest, as the points of `density_grid` do."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
     n_classes = log_d.shape[1]
+    table = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size),
+                             log_d, total])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cols = ",".join(f"logp_{k}" for k in range(n_classes))
         fh.write(f"x,y,{cols},logp_total\n")
-        idx = 0
-        for y in ys:
-            for x in xs:
-                row = ",".join(repr(float(v)) for v in log_d[idx])
-                fh.write(f"{float(x)!r},{float(y)!r},{row},"
-                         f"{float(total[idx])!r}\n")
-                idx += 1
+        _write_rows(fh, table)

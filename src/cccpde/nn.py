@@ -7,6 +7,12 @@ layer, and `backward` is valid only right after it. Every backward pass is
 checked against central differences in the test suite. Layers accumulate
 parameter gradients, so callers zero them before each optimizer step.
 
+`SigmoidHead.logits`, like the flow stack's pure calls, runs its rows in
+blocks of BLOCK_ROWS into one preallocated output: peak memory is bounded
+by the block, and the logits equal a one-pass result bit for bit (see
+`cccpde.flow` for the one BLAS caveat). Layers and the training pair stay
+single-pass.
+
 The classification loss, `bce_with_logits`, reads logits, never
 probabilities, so its gradient has no clip and no dead zone.
 
@@ -28,6 +34,12 @@ from .numerics import LOG_TWO_PI, Rng
 
 LEAKY_SLOPE = 0.01
 LAYER_NORM_EPS = 1e-5
+# rows per block of a pure stack-level pass (`FlowStack` call and inverse,
+# `SigmoidHead.logits`): each block runs through every layer before the next
+# starts, so the hidden activations held at once never exceed this many rows.
+# 512 was fastest of 256-4096 on a 22,500-row density grid and 20,000 16-D
+# samples, within 1 MiB of the lowest peak RSS (sweep in CHANGES.md)
+BLOCK_ROWS = 512
 
 ACTIVATION_TAGS = ("elu", "leaky_relu", "tanh", "sigmoid", "identity")
 
@@ -81,6 +93,20 @@ def activation_grad(tag: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray
     if tag == "leaky_relu":
         return upstream * np.where(x < 0, LEAKY_SLOPE, 1.0)
     raise DomainError(f"unknown activation tag: {tag!r}")
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of BLOCK_ROWS consecutive rows covering an n-row input.
+
+    A one-row remainder joins the block before it: numpy computes a
+    one-row product as a vector product, which rounds differently from the
+    matrix product that computes the same row in a larger batch. n = 0
+    gives one empty slice, so an empty input still meets every shape check.
+    """
+    starts = list(range(0, n, BLOCK_ROWS)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def glorot_uniform(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -286,11 +312,14 @@ class SigmoidHead:
         self.out = DenseLayer(hidden, 1, rng)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """Per-row logits, inference mode."""
-        h = x
-        for block in self.blocks:
-            h = block(h)
-        return self.out(h).ravel()
+        """Per-row logits, inference mode, one row block at a time."""
+        out = np.empty(x.shape[0])
+        for rows in row_blocks(x.shape[0]):
+            h = x[rows]
+            for block in self.blocks:
+                h = block(h)
+            out[rows] = self.out(h).ravel()
+        return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Per-row probabilities, inference mode."""

@@ -1,6 +1,7 @@
 """Shared test utilities: error metrics, gradient oracles, AUC brute force,
-and the masked activations and per-array Adam that `cccpde.nn` replaced,
-kept as bit-exact references."""
+and code the package replaced, kept as bit-exact references: the masked
+activations, the per-array Adam, one-pass inference and the per-scalar
+CSV formatters."""
 
 from __future__ import annotations
 
@@ -185,3 +186,87 @@ class ReferenceAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def one_pass_stack_call(stack, x):
+    """`FlowStack.__call__` as one pass over all rows."""
+    stack._check(x)
+    log_det = np.zeros(x.shape[0])
+    h = x
+    for layer in stack.layers:
+        h, ld = layer(h)
+        log_det += ld
+    return h, log_det
+
+
+def one_pass_stack_inverse(stack, z):
+    """`FlowStack.inverse` as one pass over all rows."""
+    stack._check(z)
+    h = z
+    for layer in reversed(stack.layers):
+        h = layer.inverse(h)
+    return h
+
+
+def one_pass_logits(head, x):
+    """`SigmoidHead.logits` as one pass over all rows."""
+    h = x
+    for block in head.blocks:
+        h = block(h)
+    return head.out(h).ravel()
+
+
+def special_floats(rng, n):
+    """n floats that lead with the values repr formatting must keep exact:
+    signed zero, the smallest subnormal, huge and integral magnitudes, then
+    random values across many scales."""
+    head = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -2.0,
+                     1e16, 2.0 ** 53, 0.1, 1.0 / 3.0])
+    tail = rng.normals(n) * 10.0 ** np.floor(rng.uniforms(n) * 40.0 - 20.0)
+    return np.concatenate([head, tail])[:n]
+
+
+def reference_save_csv(ds, path):
+    """`data.save_csv` as it formatted cells one numpy scalar at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        cols = ",".join(f"f{j}" for j in range(ds.dim))
+        fh.write(f"label,{cols}\n")
+        for label, row in zip(ds.labels, ds.features):
+            fh.write(str(int(label)) + ","
+                     + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def reference_write_roc_csv(curve, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("fpr,tpr,threshold\n")
+        for f, t, thr in zip(curve.fpr, curve.tpr, curve.thresholds):
+            fh.write(f"{float(f)!r},{float(t)!r},{float(thr)!r}\n")
+
+
+def reference_write_reports_csv(path, labels, score_ffnn, score_sigmoid,
+                                log_densities, batch):
+    labels = np.asarray(labels)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("index,label,score_ffnn,score_sigmoid,"
+                 "logp_class0,logp_class1,post_mean,ci_lo,ci_hi,abstain\n")
+        for i in range(len(batch)):
+            fh.write(
+                f"{i},{int(labels[i])},{float(score_ffnn[i])!r},"
+                f"{float(score_sigmoid[i])!r},"
+                f"{float(log_densities[i, 0])!r},{float(log_densities[i, 1])!r},"
+                f"{float(batch.mean[i])!r},{float(batch.lo[i])!r},"
+                f"{float(batch.hi[i])!r},{int(batch.abstain[i])}\n")
+
+
+def reference_write_density_grid_csv(path, xs, ys, log_d, total):
+    n_classes = log_d.shape[1]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        cols = ",".join(f"logp_{k}" for k in range(n_classes))
+        fh.write(f"x,y,{cols},logp_total\n")
+        idx = 0
+        for y in ys:
+            for x in xs:
+                row = ",".join(repr(float(v)) for v in log_d[idx])
+                fh.write(f"{float(x)!r},{float(y)!r},{row},"
+                         f"{float(total[idx])!r}\n")
+                idx += 1

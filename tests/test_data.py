@@ -14,6 +14,9 @@ from cccpde.data import (
     split,
 )
 from cccpde.errors import CsvFormatError, DomainError, ShapeError
+from cccpde.numerics import Rng
+
+from helpers import reference_save_csv, special_floats
 
 
 class TestGenMixture:
@@ -75,6 +78,15 @@ class TestCsv:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
         assert back.n_classes == 4
+
+    def test_bytes_match_per_scalar_formatter(self, tmp_path):
+        features = special_floats(Rng(12), 300 * 3).reshape(300, 3)
+        ds = Dataset(features, np.arange(300) % 2)
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert b"\n0,-0.0,0.0,5e-324\n" in new
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

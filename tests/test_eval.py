@@ -6,7 +6,13 @@ from cccpde.bayes import PosteriorBatch
 from cccpde.errors import DomainError, ShapeError
 from cccpde.numerics import Rng
 
-from helpers import auc_bruteforce
+from helpers import (
+    auc_bruteforce,
+    reference_write_density_grid_csv,
+    reference_write_reports_csv,
+    reference_write_roc_csv,
+    special_floats,
+)
 
 
 def make_batch(intervals):
@@ -254,3 +260,34 @@ class TestCsvWriters:
         assert parsed[0, 0] == 0.0
         assert parsed[0, 6] == 0.25  # midpoint of the interval (0.2, 0.3)
         assert set(parsed[:, 9].tolist()) <= {0.0, 1.0}
+
+    def test_bytes_match_per_scalar_formatters(self, tmp_path):
+        rng = Rng(106)
+        n = 200
+
+        def col():
+            return special_floats(rng, n)
+
+        def same(write_new, write_old):
+            write_new(tmp_path / "new.csv")
+            write_old(tmp_path / "old.csv")
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "old.csv").read_bytes()
+            return new
+
+        curve = ev.RocCurve(col(), col(), np.r_[np.inf, col()[1:]], 0.5)
+        same(lambda p: ev.write_roc_csv(curve, p),
+             lambda p: reference_write_roc_csv(curve, p))
+
+        lo = np.sort(rng.uniforms(n))
+        batch = make_batch(list(zip(lo, np.minimum(lo + 0.2, 1.0))))
+        args = (np.arange(n) % 2, np.r_[np.nan, col()[1:]], col(),
+                np.column_stack([col(), col()]), batch)
+        out = same(lambda p: ev.write_reports_csv(p, *args),
+                   lambda p: reference_write_reports_csv(p, *args))
+        assert b"\n0,0,nan,-0.0,-0.0,-0.0," in out
+
+        grid = (col()[:20], col()[:10], np.column_stack([col(), col(), col()]),
+                col())
+        same(lambda p: ev.write_density_grid_csv(p, *grid),
+             lambda p: reference_write_density_grid_csv(p, *grid))

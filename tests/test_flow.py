@@ -5,11 +5,14 @@ import pytest
 
 from cccpde.errors import DomainError, ShapeError
 from cccpde.flow import CouplingLayer, FlowStack, gaussian_logpdf
+from cccpde.nn import BLOCK_ROWS
 from cccpde.numerics import Rng
 
 from helpers import (
     constant_coupling,
     numerical_coupling_logdet,
+    one_pass_stack_call,
+    one_pass_stack_inverse,
     random_coupling,
     rel_err,
     worst_param_grad_err,
@@ -205,3 +208,37 @@ class TestStatelessInference:
         assert np.array_equal(g_x, g_ref)
         for got, want in zip(params, params_ref):
             assert np.array_equal(got, want)
+
+
+# row counts around the block size: one row, one block short, exact,
+# a one-row remainder, and two blocks plus a short one
+BLOCK_EDGE_ROWS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                   2 * BLOCK_ROWS + 3]
+
+
+class TestBlockedInference:
+    """Pure stack calls run in row blocks, bit-identical to one pass."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_call_inverse_sample_match_one_pass(self, dim, n):
+        stack = FlowStack.build(dim, 3, 64, Rng(110 + dim),
+                                zero_init_outputs=False)
+        x = 2.0 * Rng(111).normals(n * dim).reshape(n, dim)
+        z, log_det = stack(x)
+        z_ref, log_det_ref = one_pass_stack_call(stack, x)
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(log_det, log_det_ref)
+        assert np.array_equal(stack.inverse(x),
+                              one_pass_stack_inverse(stack, x))
+        latent = Rng(112).normals(n * dim).reshape(n, dim)
+        assert np.array_equal(stack.sample(Rng(112), n),
+                              one_pass_stack_inverse(stack, latent))
+
+    def test_empty_input_keeps_shapes_and_checks(self):
+        stack = FlowStack.build(3, 2, 8, Rng(113), zero_init_outputs=False)
+        z, log_det = stack(np.zeros((0, 3)))
+        assert z.shape == (0, 3) and log_det.shape == (0,)
+        assert stack.inverse(np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(ShapeError):
+            stack(np.zeros((0, 2)))

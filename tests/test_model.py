@@ -25,11 +25,24 @@ from cccpde.model import (
     save_model,
     train,
 )
-from cccpde.nn import AdamState, activation, bce_with_logits
+from cccpde.flow import FlowStack
+from cccpde.nn import (
+    BLOCK_ROWS,
+    AdamState,
+    SigmoidHead,
+    activation,
+    bce_with_logits,
+)
 from cccpde.numerics import Rng, derive_seed
 from cccpde.serialize import read_state, write_state
 
-from helpers import rel_err, worst_param_grad_err
+from helpers import (
+    one_pass_logits,
+    one_pass_stack_call,
+    one_pass_stack_inverse,
+    rel_err,
+    worst_param_grad_err,
+)
 
 
 def small_model(dim=4, hidden=6, dropout=0.0, seed=8, head_depth=1):
@@ -96,6 +109,90 @@ class TestStatelessInference:
         assert (after - before) / mib < 1.0
         assert (peak - before) / mib < 128.0
         assert log_d.shape == (22_500, 2) and scores.shape == (22_500,)
+
+    @pytest.mark.parametrize("n", [22_500, 90_000])
+    def test_forward_peak_stays_small_as_rows_grow(self, n):
+        # the quick-start architecture; the stack and head calls run in row
+        # blocks, so what grows with n is only the full-size stack outputs
+        # and reductions (about 70 bytes a row), not the 64-wide hidden
+        # activations; one pass peaks at about 2 KiB a row, 46 MiB at 22,500
+        # rows
+        model = CccpDeModel(2, 2, head_depth=2, rng=Rng(5))
+        x = Rng(7).normals(2 * n).reshape(n, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log_d, scores = model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = peak - before - log_d.nbytes - scores.nbytes
+        assert held / 2.0 ** 20 < 8.0
+
+
+# row counts around the block size: one row, one block short, exact,
+# a one-row remainder, and two blocks plus a short one
+BLOCK_EDGE_ROWS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                   2 * BLOCK_ROWS + 3]
+
+
+def perturbed(model, seed):
+    """The model with every parameter moved off its initial value, so the
+    zero-initialized coupling outputs transform too."""
+    rng = Rng(seed)
+    for p in model.params():
+        p.value[...] += 0.2 * rng.normals(p.value.size).reshape(p.value.shape)
+    model.standardizer = Standardizer(np.full(model.dim, 0.5),
+                                      np.full(model.dim, 2.0))
+    return model
+
+
+class TestBlockedInference:
+    """Model inference reaches the network only through the blocked stack
+    and head calls, so every output equals the one-pass reference bit for
+    bit."""
+
+    @staticmethod
+    def one_pass(monkeypatch, compute):
+        with monkeypatch.context() as m:
+            m.setattr(FlowStack, "__call__", one_pass_stack_call)
+            m.setattr(FlowStack, "inverse", one_pass_stack_inverse)
+            m.setattr(SigmoidHead, "logits", one_pass_logits)
+            return compute()
+
+    @staticmethod
+    def labels(n):
+        # the first block holds class 0 alone; later rows alternate
+        return np.where(np.arange(n) < BLOCK_ROWS, 0, np.arange(n) % 2)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_cccpde_matches_one_pass(self, monkeypatch, dim, n):
+        model = perturbed(CccpDeModel(dim, 2, head_depth=2, rng=Rng(120)), 121)
+        x = 3.0 * Rng(122).normals(n * dim).reshape(n, dim)
+        y = self.labels(n)
+
+        def compute():
+            log_d, scores = model.forward(x)
+            return (log_d, scores, model.log_densities(x),
+                    model.disc.logits(x),
+                    np.array([model.eval_loss(x, y)]),
+                    model.sample_class(1, Rng(123), n))
+
+        for got, want in zip(compute(), self.one_pass(monkeypatch, compute)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    def test_ffnn_matches_one_pass(self, monkeypatch, n):
+        model = perturbed(FfnnModel(16, rng=Rng(124)), 125)
+        x = 3.0 * Rng(126).normals(n * 16).reshape(n, 16)
+        y = self.labels(n)
+
+        def compute():
+            return model.score(x), np.array([model.eval_loss(x, y)])
+
+        for got, want in zip(compute(), self.one_pass(monkeypatch, compute)):
+            assert np.array_equal(got, want)
 
 
 class TestJointLoss:

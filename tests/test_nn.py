@@ -7,6 +7,7 @@ import pytest
 from cccpde.errors import DomainError, ShapeError
 from cccpde.nn import (
     ACTIVATION_TAGS,
+    BLOCK_ROWS,
     LAYER_NORM_EPS,
     AdamState,
     DenseBlock,
@@ -20,6 +21,7 @@ from cccpde.nn import (
     bce_with_logits,
     dropout,
     gaussian_nll_loss,
+    row_blocks,
 )
 from cccpde.numerics import Rng, finite_diff_grad
 
@@ -429,6 +431,21 @@ class TestInferenceCall:
         assert np.array_equal(layer(x), out)
         layer(Rng(65).normals(21).reshape(7, 3))
         assert np.array_equal(layer.backward(upstream), g_ref)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, BLOCK_ROWS + 2,
+                                   3 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+    def test_blocks_tile_the_rows(self, n):
+        blocks = row_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        for before, after in zip(blocks, blocks[1:]):
+            assert before.stop == after.start
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) <= BLOCK_ROWS + 1
+        # a one-row block exists only for a one-row input
+        assert n == 1 or 1 not in sizes
 
 
 class TestSigmoidHead:
