@@ -14,7 +14,10 @@ tanh so per-layer stretching stays within a factor of e.
 Calling a layer or stack, `layer(x)`, is the pure inference pass and
 stores nothing; `inverse` is pure too. `forward`/`backward` are the
 training pair: `forward` computes what `layer(x)` computes and keeps what
-`backward` needs on the layer.
+`backward` needs on the layer until the next `forward`: the transformed
+half of the permuted input (a view, so the permuted input stays alive) and
+exp(scale), while the scale and shift nets keep their own MLP caches (see
+`cccpde.nn`). A stack keeps nothing beyond its layers' caches.
 
 A stack's pure calls, `stack(x)` and `stack.inverse(z)`, run the rows in
 blocks of `nn.BLOCK_ROWS` (`nn.row_blocks`): each block passes through every

@@ -199,9 +199,10 @@ class CccpDeModel:
         g_base_out = np.zeros_like(base_out)
         w_flow = self.flow_weight / n
         flow_nll = 0.0
-        for k in np.unique(labels):
+        for k, head in enumerate(self.heads):
             rows = np.nonzero(labels == k)[0]
-            head = self.heads[k]
+            if rows.size == 0:
+                continue
             z, log_det_head = head.forward(base_out[rows])
             log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
             flow_nll -= float(log_p.sum())
@@ -218,9 +219,11 @@ class CccpDeModel:
         n = xs.shape[0]
         base_out, log_det_base = self.base(xs)
         flow_nll = 0.0
-        for k in np.unique(labels):
+        for k, head in enumerate(self.heads):
             rows = np.nonzero(labels == k)[0]
-            z, log_det_head = self.heads[k](base_out[rows])
+            if rows.size == 0:
+                continue
+            z, log_det_head = head(base_out[rows])
             log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
             flow_nll -= float(log_p.sum())
         disc_loss, _ = bce_with_logits(self.disc.logits(base_out), labels)

@@ -7,6 +7,17 @@ layer, and `backward` is valid only right after it. Every backward pass is
 checked against central differences in the test suite. Layers accumulate
 parameter gradients, so callers zero them before each optimizer step.
 
+Each training cache holds only what its `backward` reads, and stays on the
+layer until the next `forward` replaces it:
+- `DenseLayer`: its input;
+- `LayerNorm`: the standardized input and the per-row inverse deviation;
+- `MLP`: per layer, the `activation_cache` of its activation: the boolean
+  mask pre < 0 for leaky_relu, the output for tanh and sigmoid, the
+  pre-activation for elu and nothing for identity (the post-activation
+  is the next dense layer's input);
+- `DenseBlock`: its boolean dropout keep mask (None without dropout) and
+  its activation cache, the ELU pre-activation.
+
 `SigmoidHead.logits`, like the flow stack's pure calls, runs its rows in
 blocks of BLOCK_ROWS into one preallocated output: peak memory is bounded
 by the block, and the logits equal a one-pass result bit for bit (see
@@ -18,9 +29,11 @@ probabilities, so its gradient has no clip and no dead zone.
 
 Activations are branch-free numpy forms, bitwise equal to the per-sign
 boolean-mask forms (kept as references in the tests) on every input, NaN
-included. `AdamState` packs its Params into two flat vectors on first
-use; after the first step, write parameters in place (`p.value[...] = v`)
-and never rebind `p.value` or `p.grad`.
+included. `AdamState` packs its Params into flat value and gradient
+vectors on first use and keeps the two moments beside them; a step runs
+ADAM_CHUNK values at a time through two chunk-sized scratch arrays. After
+the first step, write parameters in place (`p.value[...] = v`) and never
+rebind `p.value` or `p.grad`.
 """
 
 from __future__ import annotations
@@ -40,6 +53,10 @@ LAYER_NORM_EPS = 1e-5
 # 512 was fastest of 256-4096 on a 22,500-row density grid and 20,000 16-D
 # samples, within 1 MiB of the lowest peak RSS (sweep in CHANGES.md)
 BLOCK_ROWS = 512
+# values per chunk of an Adam step; its two scratch arrays hold one chunk.
+# 16384 was fastest of 2048-32768 on the 2-D and 16-D quick-start models
+# (sweep in CHANGES.md)
+ADAM_CHUNK = 16384
 
 ACTIVATION_TAGS = ("elu", "leaky_relu", "tanh", "sigmoid", "identity")
 
@@ -78,21 +95,46 @@ def activation(tag: str, x: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown activation tag: {tag!r}")
 
 
-def activation_grad(tag: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Upstream gradient times the activation derivative, elementwise."""
+def activation_cache(tag: str, pre: np.ndarray,
+                     out: np.ndarray | None) -> np.ndarray | None:
+    """What `activation_backward` reads to differentiate out = activation(pre).
+
+    The boolean mask pre < 0 for leaky_relu, the output for tanh and
+    sigmoid (their derivatives are 1 - out^2 and out (1 - out)), the
+    pre-activation for elu and nothing for identity.
+    """
+    if tag == "identity":
+        return None
+    if tag in ("tanh", "sigmoid"):
+        return out
+    if tag == "leaky_relu":
+        return pre < 0
+    if tag == "elu":
+        return pre
+    raise DomainError(f"unknown activation tag: {tag!r}")
+
+
+def activation_backward(tag: str, cache: np.ndarray | None,
+                        upstream: np.ndarray) -> np.ndarray:
+    """Upstream gradient times the activation derivative, read from the
+    `activation_cache` of the forward pass."""
     if tag == "identity":
         return upstream
     if tag == "tanh":
-        t = np.tanh(x)
-        return upstream * (1.0 - t * t)
+        return upstream * (1.0 - cache * cache)
     if tag == "sigmoid":
-        s = activation("sigmoid", x)
-        return upstream * s * (1.0 - s)
+        return upstream * cache * (1.0 - cache)
     if tag == "elu":
-        return upstream * np.where(x < 0, np.exp(np.minimum(x, 0.0)), 1.0)
+        return upstream * np.where(cache < 0, np.exp(np.minimum(cache, 0.0)), 1.0)
     if tag == "leaky_relu":
-        return upstream * np.where(x < 0, LEAKY_SLOPE, 1.0)
+        return upstream * np.where(cache, LEAKY_SLOPE, 1.0)
     raise DomainError(f"unknown activation tag: {tag!r}")
+
+
+def activation_grad(tag: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Upstream gradient times the activation derivative at x, elementwise."""
+    out = activation(tag, x) if tag in ("tanh", "sigmoid") else None
+    return activation_backward(tag, activation_cache(tag, x, out), upstream)
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -192,16 +234,16 @@ def dropout(x: np.ndarray, rate: float, rng: Rng | None,
             training: bool) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: zero with probability `rate`, rescale survivors.
 
-    Returns (output, keep mask). Inference mode is the identity and draws
-    nothing from the rng.
+    Returns (output, boolean keep mask). Inference mode is the identity and
+    draws nothing from the rng.
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x, np.ones(x.shape)
+        return x, np.ones(x.shape, dtype=bool)
     if rng is None:
         raise DomainError("training-mode dropout needs an rng")
-    mask = (rng.uniforms(x.size).reshape(x.shape) >= rate).astype(np.float64)
+    mask = rng.uniforms(x.size).reshape(x.shape) >= rate
     return x * mask / (1.0 - rate), mask
 
 
@@ -229,12 +271,13 @@ class DenseBlock:
         else:
             dropped, mask = x, None
         pre = self.norm.forward(self.dense.forward(dropped))
-        self._cache = (mask, pre)
-        return activation(self.activation_tag, pre)
+        out = activation(self.activation_tag, pre)
+        self._cache = (mask, activation_cache(self.activation_tag, pre, out))
+        return out
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
-        mask, pre = self._cache
-        g = activation_grad(self.activation_tag, pre, upstream)
+        mask, cache = self._cache
+        g = activation_backward(self.activation_tag, cache, upstream)
         g = self.dense.backward(self.norm.backward(g))
         if mask is not None:
             g = g * mask / (1.0 - self.dropout_rate)
@@ -266,7 +309,7 @@ class MLP:
                        zero_init=(zero_init_last and i == last))
             for i in range(len(sizes) - 1)
         ]
-        self._pres: list[np.ndarray] | None = None
+        self._caches: list[np.ndarray | None] | None = None
 
     def _tag(self, i: int) -> str:
         return self.output_activation if i == len(self.layers) - 1 \
@@ -279,19 +322,22 @@ class MLP:
         return h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        pres = []
+        # the dense layers keep their inputs and each activation its
+        # `activation_cache`, so a pre-activation outlives its loop step
+        # only where backward reads it (elu)
+        caches = []
         h = x
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h)
-            pres.append(h)
-            h = activation(self._tag(i), h)
-        self._pres = pres
+            pre = layer.forward(h)
+            h = activation(self._tag(i), pre)
+            caches.append(activation_cache(self._tag(i), pre, h))
+        self._caches = caches
         return h
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         g = upstream
         for i in reversed(range(len(self.layers))):
-            g = activation_grad(self._tag(i), self._pres[i], g)
+            g = activation_backward(self._tag(i), self._caches[i], g)
             g = self.layers[i].backward(g)
         return g
 
@@ -389,6 +435,11 @@ class AdamState:
     every call must pass the same Params, and their arrays must be written
     in place (`p.value[...] = v`, `p.grad += g`) and never rebound; a
     rebound or foreign Param raises ShapeError.
+
+    The state is four flat vectors, value, grad and the two moments m and
+    v, plus two scratch arrays of ADAM_CHUNK values: a step updates the
+    vectors one chunk at a time, so its temporaries never grow with the
+    model.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -412,9 +463,10 @@ class AdamState:
             return
         self._value = np.concatenate([p.value.ravel() for p in params] or [[]])
         self._grad = np.concatenate([p.grad.ravel() for p in params] or [[]])
-        # moments, then two scratch vectors for the update
-        self._m, self._v, self._a, self._b = (
-            np.zeros_like(self._value) for _ in range(4))
+        self._m = np.zeros_like(self._value)
+        self._v = np.zeros_like(self._value)
+        chunk = min(ADAM_CHUNK, self._value.size)
+        self._a, self._b = np.empty(chunk), np.empty(chunk)
         start = 0
         for p in params:
             end = start + p.value.size
@@ -438,18 +490,22 @@ class AdamState:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        g, m, v, a, b = self._grad, self._m, self._v, self._a, self._b
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=a)
-        m += a
-        v *= self.beta2
-        np.multiply(g, g, out=a)
-        a *= 1.0 - self.beta2
-        v += a
-        np.divide(m, c1, out=a)
-        a *= self.lr
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += self.eps
-        a /= b
-        self._value -= a
+        keep1, keep2 = 1.0 - self.beta1, 1.0 - self.beta2
+        for start in range(0, self._value.size, ADAM_CHUNK):
+            part = slice(start, start + ADAM_CHUNK)
+            g, m, v = self._grad[part], self._m[part], self._v[part]
+            a, b = self._a[:g.size], self._b[:g.size]
+            m *= self.beta1
+            np.multiply(g, keep1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, g, out=a)
+            a *= keep2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            self._value[part] -= a

@@ -18,6 +18,8 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
 _DOUBLE_SCALE = 1.0 / (1 << 53)
+# draws per block of `Rng.normals`; even, so every block holds whole pairs
+NORMAL_BLOCK = 8192
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -66,20 +68,23 @@ class Rng:
         return (self._raw(n) >> 11) * _DOUBLE_SCALE
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard-normal draws via Box-Muller on paired uniforms."""
+        """n standard-normal draws via Box-Muller on paired uniforms.
+
+        The uniforms are drawn and transformed NORMAL_BLOCK at a time into
+        one preallocated output, in stream order, so the temporaries stay
+        block-sized. An odd n consumes n + 1 uniforms and drops the sine of
+        the last pair.
+        """
         if n < 0:
             raise DomainError(f"draw count must be nonnegative, got {n}")
-        if n == 0:
-            return np.empty(0)
-        pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1 = 1.0 - u[0::2]  # (0, 1], keeps the log finite
-        u2 = u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * math.pi) * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        z = np.empty(n + n % 2)
+        for start in range(0, z.size, NORMAL_BLOCK):
+            block = z[start:start + NORMAL_BLOCK]
+            u = self.uniforms(block.size)
+            radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))  # 1 - u in (0, 1]
+            angle = (2.0 * math.pi) * u[1::2]
+            block[0::2] = radius * np.cos(angle)
+            block[1::2] = radius * np.sin(angle)
         return z[:n]
 
     def randint_below(self, n: int) -> int:

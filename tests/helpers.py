@@ -1,14 +1,19 @@
 """Shared test utilities: error metrics, gradient oracles, AUC brute force,
 and code the package replaced, kept as bit-exact references: the masked
-activations, the per-array Adam, one-pass inference and the per-scalar
-CSV formatters."""
+activations, the per-array and the six-vector Adam, the training pairs that
+cached every pre-activation, one-shot normals, one-pass inference and the
+per-scalar CSV formatters."""
 
 from __future__ import annotations
+
+import math
+from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
 
-from cccpde.nn import LEAKY_SLOPE
+from cccpde.flow import gaussian_logpdf
+from cccpde.nn import LEAKY_SLOPE, DenseBlock, MLP
 from cccpde.numerics import finite_diff_grad
 
 
@@ -186,6 +191,161 @@ class ReferenceAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class SixVectorAdam:
+    """`nn.AdamState` as it kept six full-length flat vectors: value, grad,
+    the two moments and two scratch vectors for one whole-model update."""
+
+    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.packed = False
+
+    def _pack(self, params):
+        if self.packed:
+            return
+        self.packed = True
+        self.value = np.concatenate([p.value.ravel() for p in params] or [[]])
+        self.grad = np.concatenate([p.grad.ravel() for p in params] or [[]])
+        self.m, self.v, self.a, self.b = (
+            np.zeros_like(self.value) for _ in range(4))
+        start = 0
+        for p in params:
+            end = start + p.value.size
+            p.value = self.value[start:end].reshape(p.value.shape)
+            p.grad = self.grad[start:end].reshape(p.grad.shape)
+            start = end
+
+    def zero_grad(self, params):
+        self._pack(params)
+        self.grad.fill(0.0)
+
+    def step(self, params):
+        self._pack(params)
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        g, m, v, a, b = self.grad, self.m, self.v, self.a, self.b
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.value -= a
+
+
+def reference_normals(rng, n):
+    """`Rng.normals` as one Box-Muller transform over all its uniforms."""
+    if n == 0:
+        return np.empty(0)
+    pairs = (n + 1) // 2
+    u = rng.uniforms(2 * pairs)
+    u1 = 1.0 - u[0::2]
+    u2 = u[1::2]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * math.pi) * u2
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:n]
+
+
+def reference_dropout(x, rate, rng):
+    """Training-mode `nn.dropout` with its keep mask as float64 ones and zeros."""
+    mask = (rng.uniforms(x.size).reshape(x.shape) >= rate).astype(np.float64)
+    return x * mask / (1.0 - rate), mask
+
+
+def reference_mlp_forward(self, x):
+    """`MLP.forward` as it kept every layer's pre-activation."""
+    pres = []
+    h = x
+    for i, layer in enumerate(self.layers):
+        h = layer.forward(h)
+        pres.append(h)
+        h = reference_activation(self._tag(i), h)
+    self._pres = pres
+    return h
+
+
+def reference_mlp_backward(self, upstream):
+    g = upstream
+    for i in reversed(range(len(self.layers))):
+        g = reference_activation_grad(self._tag(i), self._pres[i], g)
+        g = self.layers[i].backward(g)
+    return g
+
+
+def reference_dense_block_forward(self, x, rng=None, training=False):
+    """`DenseBlock.forward` as it kept a float mask and the pre-activation."""
+    if training and self.dropout_rate > 0.0:
+        dropped, mask = reference_dropout(x, self.dropout_rate, rng)
+    else:
+        dropped, mask = x, None
+    pre = self.norm.forward(self.dense.forward(dropped))
+    self._cache = (mask, pre)
+    return reference_activation(self.activation_tag, pre)
+
+
+def reference_dense_block_backward(self, upstream):
+    mask, pre = self._cache
+    g = reference_activation_grad(self.activation_tag, pre, upstream)
+    g = self.dense.backward(self.norm.backward(g))
+    if mask is not None:
+        g = g * mask / (1.0 - self.dropout_rate)
+    return g
+
+
+@contextmanager
+def reference_training_pairs():
+    """Run every MLP and DenseBlock, and so every coupling layer and
+    sigmoid head, through the reference training pairs above."""
+    swapped = {
+        (MLP, "forward"): reference_mlp_forward,
+        (MLP, "backward"): reference_mlp_backward,
+        (DenseBlock, "forward"): reference_dense_block_forward,
+        (DenseBlock, "backward"): reference_dense_block_backward,
+    }
+    saved = {key: getattr(*key) for key in swapped}
+    try:
+        for (cls, name), fn in swapped.items():
+            setattr(cls, name, fn)
+        yield
+    finally:
+        for (cls, name), fn in saved.items():
+            setattr(cls, name, fn)
+
+
+def reference_cccpde_loss_and_grads(model, x, labels, rng):
+    """`CccpDeModel.loss_and_grads` as it looped over `np.unique(labels)`."""
+    labels = model._check_labels(labels)
+    xs, _ = model._model_space(x)
+    n = xs.shape[0]
+    base_out, log_det_base = model.base.forward(xs)
+    g_base_out = np.zeros_like(base_out)
+    w_flow = model.flow_weight / n
+    flow_nll = 0.0
+    for k in np.unique(labels):
+        rows = np.nonzero(labels == k)[0]
+        head = model.heads[k]
+        z, log_det_head = head.forward(base_out[rows])
+        log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
+        flow_nll -= float(log_p.sum())
+        g_base_out[rows] += head.backward(w_flow * z,
+                                          np.full(rows.size, -w_flow))
+    disc_loss, g_disc = model.disc.loss_and_grads(
+        base_out, labels, rng, training=True, weight=model.disc_weight)
+    model.base.backward(g_base_out + g_disc, np.full(n, -w_flow))
+    return model.flow_weight * flow_nll / n + model.disc_weight * disc_loss
 
 
 def one_pass_stack_call(stack, x):

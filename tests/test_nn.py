@@ -7,6 +7,7 @@ import pytest
 from cccpde.errors import DomainError, ShapeError
 from cccpde.nn import (
     ACTIVATION_TAGS,
+    ADAM_CHUNK,
     BLOCK_ROWS,
     LAYER_NORM_EPS,
     AdamState,
@@ -25,14 +26,19 @@ from cccpde.nn import (
 )
 from cccpde.numerics import Rng, finite_diff_grad
 
+from cccpde.data import Standardizer, preset_datasets
 from cccpde.model import CccpDeModel
 
 from helpers import (
     ReferenceAdam,
+    SixVectorAdam,
     input_grad_err,
     mp_central_diff_grad,
+    random_coupling,
     reference_activation,
     reference_activation_grad,
+    reference_cccpde_loss_and_grads,
+    reference_training_pairs,
     rel_err,
     worst_param_grad_err,
 )
@@ -368,6 +374,33 @@ class TestAdam:
         assert not all(np.array_equal(a.value, b.value) for a, b in zip(
             packed, CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()))
 
+    @pytest.mark.parametrize("size", [ADAM_CHUNK - 1, ADAM_CHUNK,
+                                      ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 5,
+                                      "quick-start"])
+    def test_chunked_equals_six_vector_reference(self, size):
+        def make():
+            if size == "quick-start":  # 69,903 values in 98 arrays
+                return CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()
+            # a long array and a short one: chunk ends fall inside arrays
+            return [Param(Rng(6).normals(size - 7)), Param(np.ones((7, 1)))]
+
+        chunked, six = make(), make()
+        state, reference = AdamState(), SixVectorAdam()
+        rng = Rng(11)
+        for _ in range(4):
+            for a, b in zip(chunked, six):
+                g = rng.normals(a.grad.size).reshape(a.grad.shape)
+                g *= 10.0 ** (6.0 * rng.uniforms(a.grad.size) - 4.0).reshape(
+                    a.grad.shape)
+                a.grad[...] = g
+                b.grad[...] = g
+            state.step(chunked)
+            reference.step(six)
+            assert all(np.array_equal(a.value, b.value)
+                       for a, b in zip(chunked, six))
+        assert np.array_equal(state._m, reference.m)
+        assert np.array_equal(state._v, reference.v)
+
 
 class TestDenseBlock:
     def test_inference_is_deterministic_and_rng_free(self):
@@ -410,6 +443,99 @@ class TestDenseBlock:
         assert np.array_equal(block._cache[0], mask)
         g = block.backward(weights)
         assert rel_err(fd, g) < 1e-5
+
+
+def train_pair_outputs(layer, run):
+    """`run(layer)`'s arrays and the layer's parameter gradients."""
+    for p in layer.params():
+        p.grad[...] = 0.0
+    return list(run(layer)) + [p.grad.copy() for p in layer.params()]
+
+
+def assert_lean_equals_reference(make, run):
+    """The training pair of a fresh `make()` gives `run`'s outputs and every
+    parameter gradient bit for bit as a twin run through the reference
+    pairs that kept every pre-activation and a float dropout mask."""
+    lean = train_pair_outputs(make(), run)
+    with reference_training_pairs():
+        ref = train_pair_outputs(make(), run)
+    assert len(lean) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(lean, ref))
+
+
+class TestLeanCaches:
+    """Each training cache holds only what its backward reads, and every
+    output, input gradient and parameter gradient keeps its bits."""
+
+    @pytest.mark.parametrize("tag", ACTIVATION_TAGS)
+    def test_mlp(self, tag):
+        x = 2.0 * Rng(90).normals(48).reshape(16, 3)
+        upstream = Rng(91).normals(64).reshape(16, 4)
+
+        def run(net):
+            out = net.forward(x)
+            return out, net.backward(upstream)
+
+        assert_lean_equals_reference(
+            lambda: MLP([3, 8, 8, 4], Rng(92), hidden_activation=tag,
+                        output_activation=tag), run)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_dense_block(self, rate):
+        x = Rng(93).normals(96).reshape(16, 6)
+        upstream = Rng(94).normals(128).reshape(16, 8)
+
+        def run(block):
+            out = block.forward(x, Rng(95), training=True)
+            return out, block.backward(upstream)
+
+        assert_lean_equals_reference(lambda: DenseBlock(6, 8, rate, Rng(96)),
+                                     run)
+
+    def test_dense_block_keeps_a_boolean_mask(self):
+        block = DenseBlock(6, 8, 0.3, Rng(96))
+        block.forward(Rng(93).normals(96).reshape(16, 6), Rng(95),
+                      training=True)
+        assert block._cache[0].dtype == bool
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_coupling_layer(self, dim):
+        x = Rng(97).normals(16 * dim).reshape(16, dim)
+        g_y = Rng(98).normals(16 * dim).reshape(16, dim)
+        g_log_det = Rng(99).normals(16)
+
+        def run(layer):
+            y, log_det = layer.forward(x)
+            return y, log_det, layer.backward(g_y, g_log_det)
+
+        assert_lean_equals_reference(
+            lambda: random_coupling(dim, 8, Rng(100)), run)
+
+    def test_three_quick_start_steps(self):
+        # the 2-D quick-start model on its own data, batch 128, dropout on:
+        # the chunked Adam and the lean caches against the six-vector Adam
+        # and the replaced caches, parameters compared after every step
+        train_set = preset_datasets("composite", 0, 4000, 100)["train"]
+        lean = CccpDeModel(2, 2, head_depth=2, rng=Rng(5))
+        ref = CccpDeModel(2, 2, head_depth=2, rng=Rng(5))
+        lean.standardizer = ref.standardizer = Standardizer.fit(
+            train_set.features)
+        lean_adam, ref_adam = AdamState(), SixVectorAdam()
+        lean_rng, ref_rng = Rng(6), Rng(6)
+        for step in range(3):
+            rows = slice(128 * step, 128 * (step + 1))
+            x, y = train_set.features[rows], train_set.labels[rows]
+            lean_adam.zero_grad(lean.params())
+            lean_loss = lean.loss_and_grads(x, y, rng=lean_rng)
+            lean_adam.step(lean.params())
+            with reference_training_pairs():
+                ref_adam.zero_grad(ref.params())
+                ref_loss = reference_cccpde_loss_and_grads(ref, x, y, ref_rng)
+                ref_adam.step(ref.params())
+            assert lean_loss == ref_loss
+            assert all(np.array_equal(a.value, b.value)
+                       for a, b in zip(lean.params(), ref.params()))
+        assert np.array_equal(lean_rng.uniforms(3), ref_rng.uniforms(3))
 
 
 class TestInferenceCall:

@@ -7,11 +7,14 @@ import pytest
 from cccpde.errors import DomainError, NumericError
 from cccpde.nn import dropout
 from cccpde.numerics import (
+    NORMAL_BLOCK,
     Rng,
     derive_seed,
     finite_diff_grad,
     log_gamma,
 )
+
+from helpers import reference_normals
 
 
 class TestRng:
@@ -36,6 +39,14 @@ class TestRng:
 
     def test_zero_draws_is_empty(self):
         assert Rng(0).normals(0).size == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 7, NORMAL_BLOCK - 1, NORMAL_BLOCK,
+                                   NORMAL_BLOCK + 1, 3 * NORMAL_BLOCK + 5])
+    def test_blocked_normals_equal_one_shot(self, n):
+        rng, twin = Rng(n + 3), Rng(n + 3)
+        assert np.array_equal(rng.normals(n), reference_normals(twin, n))
+        # both consumed the same stream, odd n's dropped sine included
+        assert np.array_equal(rng.uniforms(3), twin.uniforms(3))
 
     def test_uniform_range(self):
         u = Rng(77).uniforms(10_000)
