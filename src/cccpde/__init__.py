@@ -8,9 +8,7 @@ from .bayes import (
     base_rate_prior,
     beta_cdf,
     beta_quantile,
-    beta_update,
     credible_interval,
-    mc_count_estimate,
     posterior_report,
     posterior_reports,
     pseudo_counts,
@@ -23,7 +21,6 @@ from .data import (
     load_csv,
     preset_datasets,
     save_csv,
-    split,
 )
 from .evaluate import (
     NO_SUPPORT,
@@ -55,7 +52,6 @@ from .nn import (
     Param,
     SigmoidHead,
     activation,
-    activation_grad,
     bce_with_logits,
     dropout,
     gaussian_nll_loss,
@@ -63,7 +59,6 @@ from .nn import (
 from .numerics import (
     Rng,
     derive_seed,
-    finite_diff_grad,
     log_gamma,
     logsumexp,
 )

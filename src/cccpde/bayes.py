@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError, UnsupportedError
-from .numerics import Rng, log_gamma
+from .numerics import log_gamma
 
 UNDERFLOW_LOG = -700.0
 OVERFLOW_LOG = 700.0
@@ -66,14 +66,6 @@ class BetaPosterior:
         return self.a / (self.a + self.b)
 
 
-def beta_update(prior: BetaPosterior, pos_count: float,
-                neg_count: float) -> BetaPosterior:
-    """Conjugate update: counts add directly onto the shape parameters."""
-    if pos_count < 0 or neg_count < 0:
-        raise DomainError(f"counts must be nonnegative, got ({pos_count}, {neg_count})")
-    return BetaPosterior(prior.a + pos_count, prior.b + neg_count)
-
-
 def base_rate_prior(positive_rate: float, concentration: float) -> BetaPosterior:
     """Beta prior encoding a known base rate with a chosen total weight."""
     if not 0.0 < positive_rate < 1.0:
@@ -101,40 +93,6 @@ def pseudo_counts(log_densities: np.ndarray, class_counts: np.ndarray,
         log_c = math.log(volume) + np.log(class_counts) + log_densities
     return np.where(log_c < UNDERFLOW_LOG, 0.0,
                     np.exp(np.minimum(log_c, OVERFLOW_LOG)))
-
-
-def ball_volume(dim: int, radius: float) -> float:
-    """Volume of the Euclidean ball of the given radius."""
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    return math.exp(0.5 * dim * math.log(math.pi) + dim * math.log(radius)
-                    - log_gamma(0.5 * dim + 1.0))
-
-
-def mc_count_estimate(log_density_fn, x: np.ndarray, radius: float,
-                      n_draws: int, rng: Rng, class_count: float) -> float:
-    """Monte Carlo estimate of expected same-class samples in a ball.
-
-    Averages the density over uniform draws in the ball around x and
-    multiplies by the ball volume and the class training count.
-    """
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    if n_draws < 100:
-        raise DomainError(f"need at least 100 draws, got {n_draws}")
-    if class_count < 0:
-        raise DomainError("class count must be nonnegative")
-    if class_count == 0:
-        return 0.0
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    dim = x.size
-    dirs = rng.normals(n_draws * dim).reshape(n_draws, dim)
-    norms = np.sqrt((dirs * dirs).sum(axis=1, keepdims=True))
-    radii = radius * rng.uniforms(n_draws) ** (1.0 / dim)
-    points = x[None, :] + dirs / norms * radii[:, None]
-    log_p = np.asarray(log_density_fn(points), dtype=np.float64)
-    dens = np.exp(np.clip(log_p, UNDERFLOW_LOG, OVERFLOW_LOG))
-    return class_count * ball_volume(dim, radius) * float(dens.mean())
 
 
 # -- incomplete beta function -------------------------------------------------

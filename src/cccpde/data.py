@@ -1,4 +1,4 @@
-"""Synthetic dataset generators, CSV interchange, standardization, splits.
+"""Synthetic dataset generators, CSV interchange and standardization.
 
 The presets reproduce three uncertainty regimes on 2-D Gaussian mixtures:
 cleanly separable classes, heavily overlapping classes (irreducible
@@ -246,39 +246,24 @@ class Standardizer:
             std = np.where(degenerate, 1.0, std)
         return cls(mean, std)
 
-    def apply(self, features: np.ndarray) -> np.ndarray:
+    def _check(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
-        if features.shape[1] != self.mean.shape[0]:
+        if features.ndim != 2 or features.shape[1] != self.mean.shape[0]:
             raise ShapeError(
-                f"standardizer fitted on {self.mean.shape[0]} dims, "
-                f"got {features.shape}")
-        return (features - self.mean) / self.std
+                f"standardizer fitted on {self.mean.shape[0]} dims expects "
+                f"(n, {self.mean.shape[0]}) input, got {features.shape}")
+        return features
+
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        return (self._check(features) - self.mean) / self.std
 
     def inverse(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[1] != self.mean.shape[0]:
-            raise ShapeError(
-                f"standardizer fitted on {self.mean.shape[0]} dims, "
-                f"got {features.shape}")
-        return features * self.std + self.mean
+        return self._check(features) * self.std + self.mean
 
     @property
     def log_volume_scale(self) -> float:
         """log of the Jacobian of apply(); corrects densities to input space."""
         return -float(np.sum(np.log(self.std)))
-
-
-def split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive, seed-deterministic random split."""
-    if not 0.0 < fraction < 1.0:
-        raise DomainError(f"split fraction must lie in (0, 1), got {fraction}")
-    order = Rng(seed).permutation(ds.n_rows)
-    k = int(fraction * ds.n_rows)
-    first, second = order[:k], order[k:]
-    return (
-        Dataset(ds.features[first], ds.labels[first], name=f"{ds.name}-a"),
-        Dataset(ds.features[second], ds.labels[second], name=f"{ds.name}-b"),
-    )
 
 
 def gen_regression_1d(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ShapeError(
             f"scores {scores.shape} and labels {labels.shape} must be equal 1-D")
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DomainError(f"ROC labels must be 0 or 1, got {labels[row]} "
+                          f"in row {row}")
     pos_total = int(np.sum(labels == 1))
     neg_total = int(np.sum(labels == 0))
     if pos_total == 0 or neg_total == 0:

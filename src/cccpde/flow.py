@@ -7,7 +7,7 @@ the log-determinant of that forward map, so a stack's log-density is
 
 with z the stacked forward image of x. Sampling inverts the stack on
 standard-normal draws. Each layer permutes its input, passes the first
-`split` coordinates through unchanged, and affinely transforms the rest
+`dim // 2` coordinates through unchanged, and affinely transforms the rest
 with scale/shift networks fed by the untouched half; the scale net ends in
 tanh so per-layer stretching stays within a factor of e.
 
@@ -49,13 +49,11 @@ class CouplingLayer:
     """One invertible coupling transform with a fixed input permutation."""
 
     def __init__(self, dim: int, hidden: int, rng: Rng | None = None,
-                 split: int | None = None, zero_init_outputs: bool = True):
+                 zero_init_outputs: bool = True):
         if dim < 2:
             raise DomainError(f"coupling layers need dim >= 2, got {dim}")
         self.dim = dim
-        self.split = dim // 2 if split is None else split
-        if not 0 < self.split < dim:
-            raise DomainError(f"split must lie strictly inside (0, {dim})")
+        self.split = dim // 2
         if rng is None:
             self.perm = np.arange(dim, dtype=np.int64)
         else:
@@ -191,11 +189,6 @@ class FlowStack:
         for layer in reversed(self.layers):
             g = layer.backward(g, g_log_det)
         return g
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Per-row log p(x) under the unit-Gaussian latent."""
-        z, log_det = self(x)
-        return gaussian_logpdf(z) + log_det
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """Invert the stack on n standard-normal latent draws."""

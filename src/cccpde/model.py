@@ -85,8 +85,7 @@ class FfnnModel:
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
                        rng: Rng | None = None) -> float:
-        return self.head.loss_and_grads(self._model_space(x), y, rng,
-                                        training=True)[0]
+        return self.head.loss_and_grads(self._model_space(x), y, rng)[0]
 
     def eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
         return bce_with_logits(self.head.logits(self._model_space(x)), y)[0]
@@ -209,7 +208,7 @@ class CccpDeModel:
             g_base_out[rows] += head.backward(w_flow * z,
                                               np.full(rows.size, -w_flow))
         disc_loss, g_disc = self.disc.loss_and_grads(
-            base_out, labels, rng, training=True, weight=self.disc_weight)
+            base_out, labels, rng, weight=self.disc_weight)
         self.base.backward(g_base_out + g_disc, np.full(n, -w_flow))
         return self.flow_weight * flow_nll / n + self.disc_weight * disc_loss
 
@@ -271,22 +270,21 @@ class CccpDeModel:
 
 
 class GlmRegressor:
-    """Shared tanh trunk with linear mean and log-variance heads."""
+    """Shared tanh trunk with linear mean and log-variance heads, on a
+    scalar input."""
 
-    def __init__(self, in_dim: int = 1, hidden: int = 64,
-                 rng: Rng | None = None):
+    def __init__(self, hidden: int = 64, rng: Rng | None = None):
         if hidden < 1:
             raise DomainError("network sizes must be positive")
-        self.dim = in_dim
         self.hidden = hidden
-        self.trunk = MLP([in_dim, hidden, hidden], rng,
+        self.trunk = MLP([1, hidden, hidden], rng,
                          hidden_activation="tanh", output_activation="tanh")
         self.mean_head = DenseLayer(hidden, 1, rng)
         # zero-init keeps the initial variance at 1 while the mean settles
         self.log_var_head = DenseLayer(hidden, 1, zero_init=True)
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64).reshape(-1, self.dim)
+        return np.asarray(x, dtype=np.float64).reshape(-1, 1)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-point mean and standard deviation."""
@@ -348,7 +346,7 @@ def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
         raise DomainError("cannot fit a regressor on empty data")
     if x.shape != y.shape:
         raise ShapeError(f"x shape {x.shape} != y shape {y.shape}")
-    model = GlmRegressor(1, hidden, rng)
+    model = GlmRegressor(hidden, rng)
     adam = AdamState(config.learning_rate)
     params = model.params()
     n = x.size

@@ -57,6 +57,10 @@ BLOCK_ROWS = 512
 # 16384 was fastest of 2048-32768 on the 2-D and 16-D quick-start models
 # (sweep in CHANGES.md)
 ADAM_CHUNK = 16384
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 ACTIVATION_TAGS = ("elu", "leaky_relu", "tanh", "sigmoid", "identity")
 
@@ -129,12 +133,6 @@ def activation_backward(tag: str, cache: np.ndarray | None,
     if tag == "leaky_relu":
         return upstream * np.where(cache, LEAKY_SLOPE, 1.0)
     raise DomainError(f"unknown activation tag: {tag!r}")
-
-
-def activation_grad(tag: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Upstream gradient times the activation derivative at x, elementwise."""
-    out = activation(tag, x) if tag in ("tanh", "sigmoid") else None
-    return activation_backward(tag, activation_cache(tag, x, out), upstream)
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -230,19 +228,19 @@ class LayerNorm:
         return [self.gain, self.bias]
 
 
-def dropout(x: np.ndarray, rate: float, rng: Rng | None,
-            training: bool) -> tuple[np.ndarray, np.ndarray]:
+def dropout(x: np.ndarray, rate: float,
+            rng: Rng | None) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: zero with probability `rate`, rescale survivors.
 
-    Returns (output, boolean keep mask). Inference mode is the identity and
-    draws nothing from the rng.
+    Returns (output, boolean keep mask). Rate 0 is the identity and draws
+    nothing from the rng; inference skips dropout in `DenseBlock`.
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x, np.ones(x.shape, dtype=bool)
     if rng is None:
-        raise DomainError("training-mode dropout needs an rng")
+        raise DomainError("dropout needs an rng")
     mask = rng.uniforms(x.size).reshape(x.shape) >= rate
     return x * mask / (1.0 - rate), mask
 
@@ -267,7 +265,7 @@ class DenseBlock:
     def forward(self, x: np.ndarray, rng: Rng | None = None,
                 training: bool = False) -> np.ndarray:
         if training and self.dropout_rate > 0.0:
-            dropped, mask = dropout(x, self.dropout_rate, rng, True)
+            dropped, mask = dropout(x, self.dropout_rate, rng)
         else:
             dropped, mask = x, None
         pre = self.norm.forward(self.dense.forward(dropped))
@@ -372,13 +370,13 @@ class SigmoidHead:
         return activation("sigmoid", self.logits(x))
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray, rng: Rng | None,
-                       training: bool,
                        weight: float = 1.0) -> tuple[float, np.ndarray]:
-        """BCE against labels y; accumulates the parameter gradients of
-        weight * BCE and returns (BCE, gradient of weight * BCE wrt x)."""
+        """Training-mode BCE against labels y; accumulates the parameter
+        gradients of weight * BCE and returns (BCE, gradient of weight * BCE
+        wrt x)."""
         h = x
         for block in self.blocks:
-            h = block.forward(h, rng, training)
+            h = block.forward(h, rng, training=True)
         loss, grad = bce_with_logits(self.out.forward(h).ravel(), y)
         g = self.out.backward((weight * grad)[:, None])
         for block in reversed(self.blocks):
@@ -442,12 +440,8 @@ class AdamState:
     model.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._views: list[tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -488,17 +482,17 @@ class AdamState:
         """
         self._pack(params)
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        keep1, keep2 = 1.0 - self.beta1, 1.0 - self.beta2
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        keep1, keep2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
         for start in range(0, self._value.size, ADAM_CHUNK):
             part = slice(start, start + ADAM_CHUNK)
             g, m, v = self._grad[part], self._m[part], self._v[part]
             a, b = self._a[:g.size], self._b[:g.size]
-            m *= self.beta1
+            m *= ADAM_BETA1
             np.multiply(g, keep1, out=a)
             m += a
-            v *= self.beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=a)
             a *= keep2
             v += a
@@ -506,6 +500,6 @@ class AdamState:
             a *= self.lr
             np.divide(v, c2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             self._value[part] -= a

@@ -8,11 +8,10 @@ subsystems obtain their own streams through `derive_seed`.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -135,29 +134,6 @@ def log_gamma(x):
     small = np.where(reflect, x, 0.5)
     out = np.where(reflect, np.log(np.pi / np.sin(np.pi * small)) - out, out)
     return float(out) if out.ndim == 0 else out
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, entry by entry."""
-    if h <= 0:
-        raise DomainError(f"finite_diff_grad requires h > 0, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        hi = float(f(x))
-        x[idx] = orig - h
-        lo = float(f(x))
-        x[idx] = orig
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NumericError(f"non-finite function value near index {idx}")
-        grad[idx] = (hi - lo) / (2.0 * h)
-    return grad
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:

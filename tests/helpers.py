@@ -1,8 +1,9 @@
-"""Shared test utilities: error metrics, gradient oracles, AUC brute force,
-and code the package replaced, kept as bit-exact references: the masked
-activations, the per-array and the six-vector Adam, the training pairs that
-cached every pre-activation, one-shot normals, one-pass inference and the
-per-scalar CSV formatters."""
+"""Shared test utilities: error metrics, the finite-difference gradient
+and Monte Carlo pseudo-count oracles, AUC brute force, and code the package
+replaced, kept as bit-exact references: the masked activations, the
+per-array and the six-vector Adam, the training pairs that cached every
+pre-activation, one-shot normals, one-pass inference and the per-scalar CSV
+formatters."""
 
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ from contextlib import contextmanager
 import mpmath as mp
 import numpy as np
 
+from cccpde.bayes import OVERFLOW_LOG, UNDERFLOW_LOG
+from cccpde.errors import DomainError, NumericError
 from cccpde.flow import gaussian_logpdf
 from cccpde.nn import LEAKY_SLOPE, DenseBlock, MLP
-from cccpde.numerics import finite_diff_grad
+from cccpde.numerics import log_gamma
 
 
 def rel_err(a, b) -> float:
@@ -23,6 +26,68 @@ def rel_err(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-12)
     return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function, entry by entry."""
+    if h <= 0:
+        raise DomainError(f"finite_diff_grad requires h > 0, got {h}")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + h
+        hi = float(f(x))
+        x[idx] = orig - h
+        lo = float(f(x))
+        x[idx] = orig
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise NumericError(f"non-finite function value near index {idx}")
+        grad[idx] = (hi - lo) / (2.0 * h)
+    return grad
+
+
+def ball_volume(dim: int, radius: float) -> float:
+    """Volume of the Euclidean ball of the given radius."""
+    if radius <= 0:
+        raise DomainError(f"radius must be positive, got {radius}")
+    return math.exp(0.5 * dim * math.log(math.pi) + dim * math.log(radius)
+                    - log_gamma(0.5 * dim + 1.0))
+
+
+def mc_count_estimate(log_density_fn, x: np.ndarray, radius: float,
+                      n_draws: int, rng, class_count: float) -> float:
+    """Monte Carlo estimate of expected same-class samples in a ball: the
+    oracle for the pseudo-count c = V * N * p(x).
+
+    Averages the density over uniform draws in the ball around x and
+    multiplies by the ball volume and the class training count.
+    """
+    if radius <= 0:
+        raise DomainError(f"radius must be positive, got {radius}")
+    if n_draws < 100:
+        raise DomainError(f"need at least 100 draws, got {n_draws}")
+    if class_count < 0:
+        raise DomainError("class count must be nonnegative")
+    if class_count == 0:
+        return 0.0
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    dim = x.size
+    dirs = rng.normals(n_draws * dim).reshape(n_draws, dim)
+    norms = np.sqrt((dirs * dirs).sum(axis=1, keepdims=True))
+    radii = radius * rng.uniforms(n_draws) ** (1.0 / dim)
+    points = x[None, :] + dirs / norms * radii[:, None]
+    log_p = np.asarray(log_density_fn(points), dtype=np.float64)
+    dens = np.exp(np.clip(log_p, UNDERFLOW_LOG, OVERFLOW_LOG))
+    return class_count * ball_volume(dim, radius) * float(dens.mean())
+
+
+def stack_log_density(stack, x):
+    """Per-row log p(x) of a flow stack under its unit-Gaussian latent."""
+    z, log_det = stack(x)
+    return gaussian_logpdf(z) + log_det
 
 
 def worst_param_grad_err(params, run_backward, eval_loss, h=1e-6) -> float:
@@ -97,11 +162,11 @@ def constant_coupling(dim, scale_value, shift_value, hidden=4):
     return layer
 
 
-def random_coupling(dim, hidden, rng, split=None):
+def random_coupling(dim, hidden, rng):
     """Coupling layer with randomized (non-identity) transform weights."""
     from cccpde.flow import CouplingLayer
 
-    return CouplingLayer(dim, hidden, rng, split=split, zero_init_outputs=False)
+    return CouplingLayer(dim, hidden, rng, zero_init_outputs=False)
 
 
 def numerical_coupling_logdet(layer, x_row, h=1e-6) -> float:
@@ -343,7 +408,7 @@ def reference_cccpde_loss_and_grads(model, x, labels, rng):
         g_base_out[rows] += head.backward(w_flow * z,
                                           np.full(rows.size, -w_flow))
     disc_loss, g_disc = model.disc.loss_and_grads(
-        base_out, labels, rng, training=True, weight=model.disc_weight)
+        base_out, labels, rng, weight=model.disc_weight)
     model.base.backward(g_base_out + g_disc, np.full(n, -w_flow))
     return model.flow_weight * flow_nll / n + model.disc_weight * disc_loss
 

@@ -11,7 +11,6 @@ from cccpde.data import (
     preset_datasets,
     regression_true_std,
     save_csv,
-    split,
 )
 from cccpde.errors import CsvFormatError, DomainError, ShapeError
 from cccpde.numerics import Rng
@@ -163,33 +162,6 @@ class TestStandardizer:
         feats = np.random.default_rng(1).normal(3.0, 2.0, size=(64, 2))
         std = Standardizer.fit(feats)
         assert np.abs(std.inverse(std.apply(feats)) - feats).max() < 1e-12
-
-
-class TestSplit:
-    def test_half_split_counts(self):
-        ds = gen_mixture([(0, (0.0, 0.0), 1.0, 200)], seed=2)
-        a, b = split(ds, 0.5, seed=3)
-        assert a.n_rows == 100
-        assert b.n_rows == 100
-
-    def test_union_is_original_multiset(self):
-        ds = gen_mixture([(0, (0.0, 0.0), 1.0, 101)], seed=4)
-        a, b = split(ds, 0.3, seed=5)
-        merged = np.vstack([a.features, b.features])
-        original = ds.features[np.lexsort(ds.features.T)]
-        merged = merged[np.lexsort(merged.T)]
-        assert np.array_equal(merged, original)
-
-    def test_same_seed_same_split(self):
-        ds = gen_mixture([(0, (0.0, 0.0), 1.0, 64)], seed=6)
-        a1, _ = split(ds, 0.5, seed=9)
-        a2, _ = split(ds, 0.5, seed=9)
-        assert np.array_equal(a1.features, a2.features)
-
-    def test_fraction_validated(self):
-        ds = gen_mixture([(0, (0.0, 0.0), 1.0, 10)], seed=1)
-        with pytest.raises(DomainError):
-            split(ds, 1.0, seed=0)
 
 
 class TestRegressionGenerator:

@@ -65,6 +65,13 @@ class TestRocAuc:
         with pytest.raises(DomainError):
             ev.roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1], [0, 1, 0.5]])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        # any other label would count as a false positive but not in the
+        # negatives' total: [0, 1, 2] would read FPR 2.0 and AUC 2.0
+        with pytest.raises(DomainError, match="row 2"):
+            ev.roc_auc(np.array([0.1, 0.9, 0.5]), np.array(labels))
+
 
 class TestRatioTest:
     def test_argmax_on_densities(self):

@@ -83,6 +83,22 @@ class TestCccpDeForward:
         with pytest.raises(ShapeError):
             small_model(dim=4).forward(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("kind", ["cccpde", "ffnn"])
+    def test_non_2d_input_is_shape_error(self, kind, standardized):
+        if kind == "cccpde":
+            model = small_model(dim=2)
+            calls = [model.log_densities, model.forward]
+        else:
+            model = FfnnModel(2, 6, 2, 0.0, Rng(8))
+            calls = [model.score]
+        if standardized:
+            model.standardizer = Standardizer(np.zeros(2), np.ones(2))
+        for call in calls:
+            for x in (np.zeros(2), np.zeros(3), np.zeros((1, 2, 2))):
+                with pytest.raises(ShapeError):
+                    call(x)
+
     def test_log_densities_run_only_the_flows(self, monkeypatch):
         model = small_model()
         model.standardizer = Standardizer(np.full(4, 0.5), np.full(4, 2.0))
@@ -445,7 +461,7 @@ class TestGlm:
                                 TrainConfig(epochs=1), Rng(0))
 
     def test_variance_head_is_positive(self):
-        model = GlmRegressor(1, 16, Rng(31))
+        model = GlmRegressor(16, Rng(31))
         _, sigma = model.predict(np.linspace(-2, 2, 32))
         assert np.all(sigma > 0)
 

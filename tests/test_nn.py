@@ -18,13 +18,14 @@ from cccpde.nn import (
     Param,
     SigmoidHead,
     activation,
-    activation_grad,
+    activation_backward,
+    activation_cache,
     bce_with_logits,
     dropout,
     gaussian_nll_loss,
     row_blocks,
 )
-from cccpde.numerics import Rng, finite_diff_grad
+from cccpde.numerics import Rng
 
 from cccpde.data import Standardizer, preset_datasets
 from cccpde.model import CccpDeModel
@@ -32,6 +33,7 @@ from cccpde.model import CccpDeModel
 from helpers import (
     ReferenceAdam,
     SixVectorAdam,
+    finite_diff_grad,
     input_grad_err,
     mp_central_diff_grad,
     random_coupling,
@@ -50,6 +52,13 @@ EDGE_INPUTS = np.array([
     700.0, -700.0, 1e308, -1e308, np.inf, -np.inf, np.nan,
     1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0,
 ])
+
+
+def backward_at(tag, x, upstream):
+    """Upstream times the activation derivative at x, as the layers get it:
+    `activation_backward` reading the `activation_cache` of a forward pass."""
+    cache = activation_cache(tag, x, activation(tag, x))
+    return activation_backward(tag, cache, upstream)
 
 
 def mp_weighted_layer_norm(flat, norm, weights):
@@ -117,7 +126,9 @@ class TestActivations:
         with pytest.raises(DomainError):
             activation("softplus", np.zeros(1))
         with pytest.raises(DomainError):
-            activation_grad("softplus", np.zeros(1), np.zeros(1))
+            activation_backward("softplus", None, np.zeros(1))
+        with pytest.raises(DomainError):
+            activation_cache("softplus", np.zeros(1), None)
 
     @pytest.mark.parametrize("tag", ACTIVATION_TAGS)
     def test_grad_matches_finite_differences(self, tag):
@@ -127,7 +138,7 @@ class TestActivations:
         ones = np.ones_like(x)
         fd = finite_diff_grad(
             lambda v: float(activation(tag, v).sum()), x.copy(), 1e-6)
-        assert rel_err(fd, activation_grad(tag, x, ones)) < 1e-6
+        assert rel_err(fd, backward_at(tag, x, ones)) < 1e-6
 
     @pytest.mark.parametrize("tag", ACTIVATION_TAGS)
     def test_bitwise_equal_to_masked_reference(self, tag):
@@ -138,7 +149,7 @@ class TestActivations:
             ref = reference_activation(tag, x)
             ref_grad = reference_activation_grad(tag, x, upstream)
         assert np.array_equal(activation(tag, x), ref, equal_nan=True)
-        assert np.array_equal(activation_grad(tag, x, upstream), ref_grad,
+        assert np.array_equal(backward_at(tag, x, upstream), ref_grad,
                               equal_nan=True)
         # the same holds on 2-D blocks, which is how the layers call them
         block = x[:220].reshape(11, 20)
@@ -149,7 +160,7 @@ class TestActivations:
     def test_edge_inputs_raise_no_float_warning(self, tag):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             activation(tag, EDGE_INPUTS)
-            activation_grad(tag, EDGE_INPUTS, np.ones(EDGE_INPUTS.size))
+            backward_at(tag, EDGE_INPUTS, np.ones(EDGE_INPUTS.size))
 
 
 class TestLayerNorm:
@@ -186,19 +197,22 @@ class TestLayerNorm:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        out, mask = dropout(x, 0.0, Rng(0), True)
+        out, mask = dropout(x, 0.0, Rng(0))
         assert np.array_equal(out, x)
         assert mask.min() == 1.0
 
     def test_inference_identity(self):
+        # inference leaves dropout out of the block: no mask, no rng
+        block = DenseBlock(3, 3, 0.9, Rng(0))
         x = np.arange(6.0).reshape(2, 3)
-        out, _ = dropout(x, 0.9, None, False)
-        assert np.array_equal(out, x)
+        out = block.forward(x, None, training=False)
+        assert block._cache[0] is None
+        assert np.array_equal(out, block(x))
 
     def test_rate_statistics(self):
         rng = Rng(6)
         x = rng.uniforms(100_000) + 0.5
-        out, mask = dropout(x, 0.5, rng, True)
+        out, mask = dropout(x, 0.5, rng)
         zero_fraction = 1.0 - mask.mean()
         assert abs(zero_fraction - 0.5) < 0.01
         assert abs(out.mean() - x.mean()) < 0.02 * x.mean()
@@ -206,12 +220,12 @@ class TestDropout:
     def test_small_rate_statistics(self):
         rng = Rng(16)
         x = np.ones(200_000)
-        _, mask = dropout(x, 0.05, rng, True)
+        _, mask = dropout(x, 0.05, rng)
         assert abs((1.0 - mask.mean()) - 0.05) < 0.005
 
     def test_bad_rate(self):
         with pytest.raises(DomainError):
-            dropout(np.ones(3), 1.0, Rng(0), True)
+            dropout(np.ones(3), 1.0, Rng(0))
 
 
 def softplus_bce(logits, y):
@@ -576,10 +590,11 @@ class TestRowBlocks:
 
 class TestSigmoidHead:
     def test_loss_is_bce_of_call(self):
-        head = SigmoidHead(3, 5, 2, 0.2, Rng(66))
+        # without dropout the training pass computes the inference logits
+        head = SigmoidHead(3, 5, 2, 0.0, Rng(66))
         x = Rng(67).normals(18).reshape(6, 3)
         y = np.array([0, 1, 1, 0, 1, 0])
-        loss, _ = head.loss_and_grads(x, y, None, False)
+        loss, _ = head.loss_and_grads(x, y, None)
         assert loss == bce_with_logits(head.logits(x), y)[0]
         assert np.array_equal(head(x), activation("sigmoid", head.logits(x)))
 
@@ -594,10 +609,10 @@ class TestSigmoidHead:
 
         assert worst_param_grad_err(
             head.params(),
-            lambda: head.loss_and_grads(x, y, None, True, weight),
+            lambda: head.loss_and_grads(x, y, None, weight),
             loss) < 1e-5
         fd = finite_diff_grad(loss, x.copy(), 1e-6)
-        _, g = head.loss_and_grads(x, y, None, True, weight)
+        _, g = head.loss_and_grads(x, y, None, weight)
         assert rel_err(fd, g) < 1e-5
 
     def test_saturated_logits_match_softplus_finite_differences(self):
@@ -618,10 +633,10 @@ class TestSigmoidHead:
 
         assert worst_param_grad_err(
             head.params(),
-            lambda: head.loss_and_grads(x, y, None, True, weight),
+            lambda: head.loss_and_grads(x, y, None, weight),
             loss) < 1e-5
         fd = finite_diff_grad(loss, x.copy(), 1e-6)
-        _, g = head.loss_and_grads(x, y, None, True, weight)
+        _, g = head.loss_and_grads(x, y, None, weight)
         assert rel_err(fd, g) < 1e-5
 
 

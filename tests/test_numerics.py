@@ -10,11 +10,10 @@ from cccpde.numerics import (
     NORMAL_BLOCK,
     Rng,
     derive_seed,
-    finite_diff_grad,
     log_gamma,
 )
 
-from helpers import reference_normals
+from helpers import finite_diff_grad, reference_normals
 
 
 class TestRng:
@@ -94,7 +93,7 @@ class TestStreamContract:
     def test_dropout_mask_is_uniform_threshold(self):
         x = Rng(17).normals(96).reshape(8, 12)
         rng, twin = Rng(18), Rng(18)
-        out, mask = dropout(x, 0.3, rng, True)
+        out, mask = dropout(x, 0.3, rng)
         assert np.array_equal(mask,
                               twin.uniforms(x.size).reshape(x.shape) >= 0.3)
         assert np.array_equal(out, x * mask / 0.7)

@@ -1,0 +1,113 @@
+"""The package's public surface, and the names the benchmark imports from it.
+
+The benchmark under `bench/` is run against this source tree, so every
+name and keyword it takes from `cccpde` must keep resolving; these checks
+read the bench files with `ast` instead of running them.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import cccpde
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+PUBLIC = {
+    "AdamState", "BetaPosterior", "CccpDeModel", "CouplingLayer", "Dataset",
+    "DenseBlock", "DenseLayer", "FfnnModel", "FlowStack", "GlmRegressor",
+    "LayerNorm", "MLP", "NO_SUPPORT", "Param", "PosteriorBatch", "Rng",
+    "RocCurve", "SigmoidHead", "Standardizer", "TrainConfig",
+    "UncertaintyReport", "activation", "base_rate_prior", "bce_with_logits",
+    "beta_cdf", "beta_quantile", "credible_interval", "density_grid",
+    "derive_seed", "dropout", "filter_by_uncertainty",
+    "filtered_roc_comparison", "gaussian_logpdf", "gaussian_nll_loss",
+    "gen_mixture", "gen_regression_1d", "glm_fit_and_predict", "in_set_score",
+    "load_csv", "load_model", "log_gamma", "logsumexp", "posterior_report",
+    "posterior_reports", "preset_datasets", "pseudo_counts",
+    "ratio_test_classify", "roc_auc", "save_csv", "save_model", "train",
+}
+
+# test oracles and test-only helpers that the runtime no longer ships,
+# by module or class
+REMOVED = {
+    "bayes": ["beta_update", "mc_count_estimate", "ball_volume"],
+    "numerics": ["finite_diff_grad"],
+    "nn": ["activation_grad"],
+    "data": ["split"],
+    "flow.FlowStack": ["log_density"],
+}
+
+
+def test_public_names_are_the_trimmed_list():
+    names = {name for name, value in vars(cccpde).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert names == PUBLIC
+
+
+@pytest.mark.parametrize("owner", sorted(REMOVED))
+def test_test_only_names_are_gone(owner):
+    module, _, cls = owner.partition(".")
+    obj = importlib.import_module(f"cccpde.{module}")
+    if cls:
+        obj = getattr(obj, cls)
+    assert [name for name in REMOVED[owner] if hasattr(obj, name)] == []
+
+
+def cccpde_bindings(tree: ast.Module) -> dict:
+    """Local name -> the cccpde object it is bound to by the file's imports."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "cccpde":
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(mod, alias.name), f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = getattr(mod, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "cccpde":
+                    continue
+                mod = importlib.import_module(alias.name)
+                if alias.asname:
+                    bound[alias.asname] = mod
+                else:
+                    bound["cccpde"] = importlib.import_module("cccpde")
+    return bound
+
+
+def dotted(node):
+    """('a', 'b', 'c') for the expression a.b.c, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return (node.id, *reversed(parts))
+    return None
+
+
+@pytest.mark.parametrize("name", ["micro.py", "child.py"])
+def test_bench_imports_resolve(name):
+    tree = ast.parse((BENCH / name).read_text(encoding="utf-8"))
+    bound = cccpde_bindings(tree)
+    assert bound, f"{name} imports nothing from cccpde"
+    for node in ast.walk(tree):
+        chain = dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in bound:
+            obj = bound[chain[0]]
+            for attr in chain[1:]:
+                assert hasattr(obj, attr), f"{name}: {'.'.join(chain)}"
+                obj = getattr(obj, attr)
+                if not inspect.ismodule(obj):
+                    break
+        # a direct call of an imported callable must bind to its signature
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in bound \
+                and not any(isinstance(a, ast.Starred) for a in node.args) \
+                and all(k.arg for k in node.keywords):
+            signature = inspect.signature(bound[node.func.id])
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
