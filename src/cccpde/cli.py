@@ -35,6 +35,7 @@ from .data import (
     preset_datasets,
     regression_true_mean,
     save_csv,
+    write_csv,
 )
 from .errors import DomainError
 from .model import (
@@ -156,11 +157,8 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
-    with open(out.with_suffix(".trace.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(trace, 1):
-            fh.write(f"{epoch},{loss!r}\n")
+    write_csv(out.with_suffix(".trace.csv"), ["epoch", "loss"],
+              [np.arange(1, len(trace) + 1), trace])
     _write_config_log(out.with_suffix(".config.txt"), cfg,
                       {"model": args.model, "data": args.data, "out": out})
     print(f"trained {args.model} on {dataset.n_rows} rows; "
@@ -183,11 +181,16 @@ def _default_volume(model: CccpDeModel) -> float:
     return 0.05 ** model.dim
 
 
+def _load_density_model(path) -> CccpDeModel:
+    model = load_model(path)
+    if not isinstance(model, CccpDeModel):
+        raise DomainError(f"{path} is not a density-estimator model")
+    return model
+
+
 def _cmd_eval(args) -> int:
     cfg = _resolve(args)
-    model = load_model(args.model)
-    if not isinstance(model, CccpDeModel):
-        raise DomainError(f"{args.model} is not a density-estimator model")
+    model = _load_density_model(args.model)
     dataset = load_csv(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,22 +217,14 @@ def _cmd_eval(args) -> int:
         ffnn_scores = baseline.score(dataset.features)
         scorers["ffnn"] = ffnn_scores
 
-    retained, rejected = ev.filter_by_uncertainty(batch, cfg["threshold"])
-    kept_labels = set(dataset.labels[retained].tolist())
-    filterable = kept_labels >= {0, 1}
-    suffix = {"sigmoid": "", "ratio": "_ratio", "ffnn": "_ffnn"}
-    if filterable:
-        curves, retained, rejected = ev.filtered_roc_comparison(
-            dataset.labels, scorers, batch, cfg["threshold"])
-    else:
+    curves, retained, rejected = ev.filtered_roc_comparison(
+        dataset.labels, scorers, batch)
+    if any(filtered is None for _, filtered in curves.values()):
         print("warning: retained set lacks a class; emitting unfiltered "
               "curves only (raise --volume or --threshold)", file=sys.stderr)
-        curves = {name: (ev.roc_auc(np.asarray(s, dtype=np.float64),
-                                    dataset.labels), None)
-                  for name, s in scorers.items()}
-
+    suffix = {"sigmoid": "", "ratio": "_ratio", "ffnn": "_ffnn"}
     ev.write_reports_csv(out / "reports.csv", dataset.labels, ffnn_scores,
-                         sigmoid_scores, log_d, batch)
+                         sigmoid_scores, batch)
     for name, (full, filtered) in curves.items():
         ev.write_roc_csv(full, out / f"roc{suffix[name]}.csv")
         if filtered is not None:
@@ -255,9 +250,7 @@ _SAMPLE_SETTINGS = {"seed": (0, int), "count": (10, int),
 
 def _cmd_sample(args) -> int:
     cfg = _resolve(args)
-    model = load_model(args.model)
-    if not isinstance(model, CccpDeModel):
-        raise DomainError(f"{args.model} is not a density-estimator model")
+    model = _load_density_model(args.model)
     rng = Rng(derive_seed(cfg["seed"], "sampling"))
     samples = model.sample_class(cfg["class_index"], rng, cfg["count"])
     out = Path(args.out)
@@ -275,9 +268,7 @@ _GRID_SETTINGS = {"resolution": (100, int)}
 
 def _cmd_density_grid(args) -> int:
     cfg = _resolve(args)
-    model = load_model(args.model)
-    if not isinstance(model, CccpDeModel):
-        raise DomainError(f"{args.model} is not a density-estimator model")
+    model = _load_density_model(args.model)
     if args.bounds is not None:
         bounds = tuple(args.bounds)
     elif model.standardizer is not None:
@@ -318,11 +309,8 @@ def _cmd_glm_demo(args) -> int:
     truth = regression_true_mean(grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "glm_demo.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,mu,sigma,y_true\n")
-        for i in range(grid.size):
-            fh.write(f"{float(grid[i])!r},{float(mu[i])!r},"
-                     f"{float(sigma[i])!r},{float(truth[i])!r}\n")
+    write_csv(out / "glm_demo.csv", ["x", "mu", "sigma", "y_true"],
+              [grid, mu, sigma, truth])
     _write_config_log(out / "config_used.txt", cfg, {"out": out})
     print(f"wrote regression demo ({cfg['grid_size']} grid rows) under {out}")
     return 0

@@ -52,34 +52,22 @@ class Dataset:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-def _component_cov_factor(cov, dim: int) -> np.ndarray:
-    """Lower-triangular factor L with L L^T = covariance."""
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim == 0:
-        if cov <= 0:
-            raise DomainError(f"isotropic variance must be positive, got {cov}")
-        return math.sqrt(float(cov)) * np.eye(dim)
-    if cov.ndim == 1:
-        if cov.shape[0] != dim:
-            raise ShapeError(f"diagonal covariance length {cov.shape[0]} != dim {dim}")
-        if np.any(cov <= 0):
-            raise DomainError("diagonal covariance entries must be positive")
-        return np.diag(np.sqrt(cov))
-    if cov.shape != (dim, dim):
-        raise ShapeError(f"covariance shape {cov.shape} != ({dim}, {dim})")
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("covariance matrix is not positive-definite") from exc
+def _check_variance(var) -> float:
+    """A component's variance: one positive scalar, shared by every axis."""
+    var = np.asarray(var, dtype=np.float64)
+    if var.ndim != 0 or not 0.0 < var < math.inf:
+        raise DomainError(
+            f"component variance must be a positive finite scalar, got {var}")
+    return float(var)
 
 
-def gen_mixture(components: list[tuple[int, np.ndarray, object, int]],
+def gen_mixture(components: list[tuple[int, np.ndarray, float, int]],
                 seed: int, name: str = "mixture") -> Dataset:
-    """Draw a labeled Gaussian mixture.
+    """Draw a labeled isotropic Gaussian mixture.
 
-    Each component is (class label, center, covariance, count); covariance
-    may be a scalar variance, a diagonal, or a full matrix. Components are
-    emitted in order, deterministically under the seed.
+    Each component is (class label, center, variance, count); the variance
+    is a positive scalar, shared by every axis. Components are emitted in
+    order, deterministically under the seed.
     """
     if not components:
         raise DomainError("mixture needs at least one component")
@@ -87,15 +75,15 @@ def gen_mixture(components: list[tuple[int, np.ndarray, object, int]],
     blocks = []
     labels = []
     dim = len(np.atleast_1d(components[0][1]))
-    for label, center, cov, count in components:
+    for label, center, var, count in components:
         if count < 1:
             raise DomainError(f"component counts must be >= 1, got {count}")
         center = np.asarray(center, dtype=np.float64).reshape(-1)
         if center.size != dim:
             raise ShapeError(f"center length {center.size} != dim {dim}")
-        factor = _component_cov_factor(cov, dim)
+        scale = math.sqrt(_check_variance(var))
         z = rng.normals(count * dim).reshape(count, dim)
-        blocks.append(center[None, :] + z @ factor.T)
+        blocks.append(center[None, :] + z * scale)
         labels.append(np.full(count, label, dtype=np.int64))
     return Dataset(np.vstack(blocks), np.concatenate(labels), name=name)
 
@@ -165,13 +153,39 @@ def preset_datasets(preset: str, seed: int, train_size: int,
     return out
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Write `label,f0,...,fK` rows; floats use shortest round-trip repr."""
+CSV_BLOCK_ROWS = 16  # rows turned into Python objects at a time
+
+
+def write_csv(path, header, columns) -> None:
+    """Write one CSV: a header row, then one line per row, `\n` endings.
+
+    The only place that turns numbers into CSV text. `columns` holds one
+    1-D array per header name, all of one length. Integer and boolean
+    columns print as ints; every other column is read as float64 and
+    prints in shortest round-trip `repr`. Rows are formatted
+    `CSV_BLOCK_ROWS` at a time, so no whole table is held as Python objects.
+    """
+    columns = [np.asarray(c) for c in columns]
+    columns = [c.astype(np.int64 if c.dtype.kind in "biu" else np.float64,
+                        copy=False) for c in columns]
+    if len(columns) != len(header):
+        raise ShapeError(f"{len(columns)} columns for {len(header)} names")
+    n = columns[0].shape[0] if columns else 0
+    if any(c.shape != (n,) for c in columns):
+        raise ShapeError(f"columns must be 1-D of one length, got shapes "
+                         f"{[c.shape for c in columns]}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ",".join(f"f{j}" for j in range(ds.dim))
-        fh.write(f"label,{cols}\n")
-        for label, row in zip(ds.labels.tolist(), ds.features):
-            fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            cells = [map(repr, c[start:start + CSV_BLOCK_ROWS].tolist())
+                     for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Write `label,f0,...,fK` rows through `write_csv`."""
+    write_csv(path, ["label"] + [f"f{j}" for j in range(ds.dim)],
+              [ds.labels, *ds.features.T])
 
 
 def load_csv(path) -> Dataset:

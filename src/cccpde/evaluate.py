@@ -1,9 +1,10 @@
 """Classification and uncertainty evaluation.
 
 ROC curves sweep the unique scores with half-credit on ties, so the area
-matches the rank-based pair-counting statistic exactly. Credible-interval
-filtering partitions samples once and the same retained set is applied to
-every scorer, keeping before/after curves comparable across models.
+matches the rank-based pair-counting statistic exactly. The posterior's
+abstain flags partition the samples once and the same retained set is
+applied to every scorer, keeping before/after curves comparable across
+models. Every CSV is written by `data.write_csv`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import PosteriorBatch
+from .data import write_csv
 from .errors import DomainError, ShapeError
 from .numerics import logsumexp
 
@@ -87,30 +89,26 @@ def ratio_test_classify(log_densities: np.ndarray,
     return predictions, scores
 
 
-def filter_by_uncertainty(batch: PosteriorBatch,
-                          threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Partition sample indices by credible-interval range, stable order.
+def filter_by_uncertainty(batch: PosteriorBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Partition sample indices by the batch's abstain flags, stable order.
 
-    Samples whose interval range exceeds the threshold are rejected.
+    The posterior decided abstention once, against its own threshold;
+    abstaining samples are rejected.
     """
-    if not threshold > 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
-    ranges = batch.interval_range
-    retained = np.nonzero(ranges <= threshold)[0]
-    rejected = np.nonzero(ranges > threshold)[0]
-    return retained, rejected
+    abstain = np.asarray(batch.abstain, dtype=bool)
+    return np.nonzero(~abstain)[0], np.nonzero(abstain)[0]
 
 
 def filtered_roc_comparison(labels: np.ndarray,
                             scores_by_scorer: dict[str, np.ndarray],
                             batch: PosteriorBatch,
-                            threshold: float,
-                            ) -> tuple[dict[str, tuple[RocCurve, RocCurve]],
+                            ) -> tuple[dict[str, tuple[RocCurve, RocCurve | None]],
                                        np.ndarray, np.ndarray]:
     """Full vs retained ROC per scorer, under one shared retained set.
 
-    The retained set comes from the credible intervals alone, so every
-    scorer is filtered identically.
+    The retained set comes from the abstain flags alone, so every scorer
+    is filtered identically. The retained curve is None when the retained
+    set lacks a class.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -121,12 +119,14 @@ def filtered_roc_comparison(labels: np.ndarray,
             raise ShapeError(
                 f"scorer {name!r} has {np.asarray(scores).shape[0]} scores "
                 f"for {n} labels")
-    retained, rejected = filter_by_uncertainty(batch, threshold)
+    retained, rejected = filter_by_uncertainty(batch)
+    kept = labels[retained]
+    both = bool(np.any(kept == 0) and np.any(kept == 1))
     curves = {}
     for name, scores in scores_by_scorer.items():
         scores = np.asarray(scores, dtype=np.float64)
         curves[name] = (roc_auc(scores, labels),
-                        roc_auc(scores[retained], labels[retained]))
+                        roc_auc(scores[retained], kept) if both else None)
     return curves, retained, rejected
 
 
@@ -162,46 +162,25 @@ def density_grid(model, bounds: tuple[float, float, float, float],
 # -- CSV export ---------------------------------------------------------------
 
 
-def _write_rows(fh, table: np.ndarray) -> None:
-    """One line per row of a float table, each float in round-trip repr.
-
-    Rows become Python floats one at a time, so no copy of the whole table
-    is ever held as Python objects.
-    """
-    for row in np.asarray(table, dtype=np.float64):
-        fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
 def write_roc_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fpr,tpr,threshold\n")
-        _write_rows(fh, np.column_stack([curve.fpr, curve.tpr,
-                                         curve.thresholds]))
+    write_csv(path, ["fpr", "tpr", "threshold"],
+              [curve.fpr, curve.tpr, curve.thresholds])
 
 
 def write_reports_csv(path, labels, score_ffnn, score_sigmoid,
-                      log_densities, batch: PosteriorBatch) -> None:
-    labels = np.asarray(labels).astype(np.int64).tolist()
-    abstain = np.asarray(batch.abstain).astype(np.int64).tolist()
-    table = np.column_stack([
-        score_ffnn, score_sigmoid, log_densities[:, 0], log_densities[:, 1],
-        batch.mean, batch.lo, batch.hi]).astype(np.float64, copy=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,label,score_ffnn,score_sigmoid,"
-                 "logp_class0,logp_class1,post_mean,ci_lo,ci_hi,abstain\n")
-        for i, (label, row, flag) in enumerate(
-                zip(labels, table, abstain, strict=True)):
-            fh.write(f"{i},{label}," + ",".join(map(repr, row.tolist()))
-                     + f",{flag}\n")
+                      batch: PosteriorBatch) -> None:
+    log_d = batch.log_densities
+    write_csv(path, ["index", "label", "score_ffnn", "score_sigmoid",
+                     "logp_class0", "logp_class1", "post_mean", "ci_lo",
+                     "ci_hi", "abstain"],
+              [np.arange(len(batch)), np.asarray(labels).astype(np.int64),
+               score_ffnn, score_sigmoid, log_d[:, 0], log_d[:, 1],
+               batch.mean, batch.lo, batch.hi, batch.abstain])
 
 
 def write_density_grid_csv(path, xs, ys, log_d, total) -> None:
     """Rows vary x fastest, as the points of `density_grid` do."""
     xs, ys = np.asarray(xs), np.asarray(ys)
-    n_classes = log_d.shape[1]
-    table = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size),
-                             log_d, total])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ",".join(f"logp_{k}" for k in range(n_classes))
-        fh.write(f"x,y,{cols},logp_total\n")
-        _write_rows(fh, table)
+    write_csv(path, ["x", "y", *(f"logp_{k}" for k in range(log_d.shape[1])),
+                     "logp_total"],
+              [np.tile(xs, ys.size), np.repeat(ys, xs.size), *log_d.T, total])

@@ -246,21 +246,20 @@ def dropout(x: np.ndarray, rate: float,
 
 
 class DenseBlock:
-    """Dropout, dense layer, layer norm, then activation, in that order."""
+    """Dropout, dense layer, layer norm, then ELU, in that order."""
 
     def __init__(self, in_size: int, out_size: int, dropout_rate: float,
-                 rng: Rng | None = None, activation_tag: str = "elu"):
+                 rng: Rng | None = None):
         if not 0.0 <= dropout_rate < 1.0:
             raise DomainError(f"dropout rate must be in [0, 1), got {dropout_rate}")
         self.dropout_rate = dropout_rate
         self.dense = DenseLayer(in_size, out_size, rng)
         self.norm = LayerNorm(out_size)
-        self.activation_tag = activation_tag
         self._cache = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Inference mode: no dropout."""
-        return activation(self.activation_tag, self.norm(self.dense(x)))
+        return activation("elu", self.norm(self.dense(x)))
 
     def forward(self, x: np.ndarray, rng: Rng | None = None,
                 training: bool = False) -> np.ndarray:
@@ -269,13 +268,13 @@ class DenseBlock:
         else:
             dropped, mask = x, None
         pre = self.norm.forward(self.dense.forward(dropped))
-        out = activation(self.activation_tag, pre)
-        self._cache = (mask, activation_cache(self.activation_tag, pre, out))
+        out = activation("elu", pre)
+        self._cache = (mask, activation_cache("elu", pre, out))
         return out
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         mask, cache = self._cache
-        g = activation_backward(self.activation_tag, cache, upstream)
+        g = activation_backward("elu", cache, upstream)
         g = self.dense.backward(self.norm.backward(g))
         if mask is not None:
             g = g * mask / (1.0 - self.dropout_rate)

@@ -68,7 +68,7 @@ def composite_bundle():
     scorers = {"ffnn": ffnn_scores, "sigmoid": sigmoid_scores,
                "ratio": ratio_scores}
     curves, retained, rejected = ev.filtered_roc_comparison(
-        te.labels, scorers, batch, threshold)
+        te.labels, scorers, batch)
     return {
         "ffnn": ffnn, "model": model, "train": tr, "test": te,
         "ffnn_trace": ffnn_trace, "cc_trace": cc_trace,

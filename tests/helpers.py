@@ -358,12 +358,12 @@ def reference_dense_block_forward(self, x, rng=None, training=False):
         dropped, mask = x, None
     pre = self.norm.forward(self.dense.forward(dropped))
     self._cache = (mask, pre)
-    return reference_activation(self.activation_tag, pre)
+    return reference_activation("elu", pre)
 
 
 def reference_dense_block_backward(self, upstream):
     mask, pre = self._cache
-    g = reference_activation_grad(self.activation_tag, pre, upstream)
+    g = reference_activation_grad("elu", pre, upstream)
     g = self.dense.backward(self.norm.backward(g))
     if mask is not None:
         g = g * mask / (1.0 - self.dropout_rate)
@@ -495,3 +495,20 @@ def reference_write_density_grid_csv(path, xs, ys, log_d, total):
                 fh.write(f"{float(x)!r},{float(y)!r},{row},"
                          f"{float(total[idx])!r}\n")
                 idx += 1
+
+
+def reference_write_trace_csv(trace, path):
+    """The `train` trace writer as `cli.py` looped over epochs."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("epoch,loss\n")
+        for epoch, loss in enumerate(trace, 1):
+            fh.write(f"{epoch},{loss!r}\n")
+
+
+def reference_write_glm_demo_csv(path, grid, mu, sigma, truth):
+    """The `glm-demo` writer as `cli.py` looped over grid points."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x,mu,sigma,y_true\n")
+        for i in range(grid.size):
+            fh.write(f"{float(grid[i])!r},{float(mu[i])!r},"
+                     f"{float(sigma[i])!r},{float(truth[i])!r}\n")

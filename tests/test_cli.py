@@ -4,11 +4,16 @@ import sys
 import numpy as np
 import pytest
 
+import cccpde.cli as cli
 from cccpde.cli import build_parser, main
-from cccpde.data import load_csv
+from cccpde.data import load_csv, regression_true_mean
 from cccpde.model import load_model, save_model
 
-from helpers import rel_err
+from helpers import (
+    rel_err,
+    reference_write_glm_demo_csv,
+    reference_write_trace_csv,
+)
 
 
 def run(*args):
@@ -81,6 +86,25 @@ class TestTrain:
         assert trace[0] == "epoch,loss"
         assert len(trace) == 1 + 6
 
+    def test_trace_bytes_match_per_epoch_formatter(self, toy_run, tmp_path,
+                                                   monkeypatch):
+        traces = []
+
+        def recording_train(*args, **kwargs):
+            traces.append(cli_train(*args, **kwargs))
+            return traces[-1]
+
+        cli_train = cli.train
+        monkeypatch.setattr(cli, "train", recording_train)
+        out = tmp_path / "m.bin"
+        assert run("train", "--model", "ffnn",
+                   "--data", toy_run["data"] / "train.csv", "--out", out,
+                   "--epochs", 3, "--hidden", 8) == 0
+        reference_write_trace_csv(traces[0], tmp_path / "old.csv")
+        new = out.with_suffix(".trace.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\n") == 1 + 3
+
     def test_reload_reproduces_final_loss(self, toy_run):
         trace = (toy_run["cc"].with_suffix(".trace.csv")).read_text().splitlines()
         final = float(trace[-1].split(",")[1])
@@ -148,6 +172,29 @@ class TestEval:
         assert len(rows) == ds.n_rows
         abstain = np.array([int(r.split(",")[-1]) for r in rows])
         assert set(abstain.tolist()) <= {0, 1}
+
+    def test_retained_set_without_a_class_keeps_unfiltered_curves(
+            self, toy_run, tmp_path, capsys):
+        # a tiny volume gives near-zero counts, so every row abstains
+        out = tmp_path / "e"
+        assert run("eval", "--model", toy_run["cc"],
+                   "--data", toy_run["data"] / "test.csv", "--out", out,
+                   "--volume", 1e-12) == 0
+        captured = capsys.readouterr()
+        assert "warning: retained set lacks a class" in captured.err
+        assert "retained 0, rejected 600 of 600" in captured.out
+        assert (out / "roc.csv").exists() and (out / "roc_ratio.csv").exists()
+        assert not list(out.glob("*_filtered.csv"))
+
+    @pytest.mark.parametrize("command", ["eval", "sample", "density-grid"])
+    def test_baseline_model_is_runtime_error(self, toy_run, tmp_path, capsys,
+                                             command):
+        extra = ["--data", toy_run["data"] / "test.csv"] \
+            if command == "eval" else []
+        assert run(command, "--model", toy_run["ffnn"], *extra,
+                   "--out", tmp_path / "o") == 1
+        assert f"{toy_run['ffnn']} is not a density-estimator model" \
+            in capsys.readouterr().err
 
     def test_seed_is_usage_error(self, toy_run, tmp_path):
         # eval draws no random numbers, so it takes no --seed
@@ -237,6 +284,26 @@ class TestGlmDemo:
         rows = outs[0].decode().splitlines()
         assert rows[0] == "x,mu,sigma,y_true"
         assert len(rows) == 1 + 50
+
+    def test_bytes_match_per_point_formatter(self, tmp_path, monkeypatch):
+        models = []
+
+        def recording_fit(*args, **kwargs):
+            result = cli_fit(*args, **kwargs)
+            models.append(result[2])
+            return result
+
+        cli_fit = cli.glm_fit_and_predict
+        monkeypatch.setattr(cli, "glm_fit_and_predict", recording_fit)
+        out = tmp_path / "glm"
+        assert run("glm-demo", "--out", out, "--seed", 7, "--train-size", 300,
+                   "--epochs", 5, "--grid-size", 133) == 0
+        grid = np.linspace(-3.0, 3.0, 133)
+        mu, sigma = models[0].predict(grid)
+        reference_write_glm_demo_csv(tmp_path / "old.csv", grid, mu, sigma,
+                                     regression_true_mean(grid))
+        assert (out / "glm_demo.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
 
     def test_coverage_against_known_generator(self, tmp_path):
         from cccpde.data import regression_true_mean, regression_true_std

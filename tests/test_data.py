@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cccpde.data import (
+    CSV_BLOCK_ROWS,
     Dataset,
     Standardizer,
     gen_mixture,
@@ -11,11 +12,15 @@ from cccpde.data import (
     preset_datasets,
     regression_true_std,
     save_csv,
+    write_csv,
 )
 from cccpde.errors import CsvFormatError, DomainError, ShapeError
 from cccpde.numerics import Rng
 
 from helpers import reference_save_csv, special_floats
+
+# row counts around the writer's block size
+EDGE_ROWS = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
 
 
 class TestGenMixture:
@@ -34,16 +39,17 @@ class TestGenMixture:
             se = rows.std(axis=0) / np.sqrt(rows.shape[0])
             assert np.all(np.abs(rows.mean(axis=0) - center) < 3.0 * se + 1e-9)
 
-    def test_full_covariance_supported(self):
-        cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-        ds = gen_mixture([(0, (0.0, 0.0), cov, 20_000)], seed=9)
-        sample_cov = np.cov(ds.features.T)
-        assert np.abs(sample_cov - cov).max() < 0.05
+    def test_isotropic_moments(self):
+        ds = gen_mixture([(0, (1.0, -2.0), 0.49, 20_000)], seed=9)
+        assert np.abs(np.cov(ds.features.T) - 0.49 * np.eye(2)).max() < 0.02
 
-    def test_non_pd_covariance_rejected(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(DomainError):
-            gen_mixture([(0, (0.0, 0.0), bad, 10)], seed=1)
+    @pytest.mark.parametrize("var", [
+        np.array([1.0, 0.5]), np.array([[1.0, 0.6], [0.6, 1.0]]), 0.0, -1.0,
+        float("nan"), float("inf"),
+    ], ids=["diagonal", "full", "zero", "negative", "nan", "inf"])
+    def test_only_a_positive_scalar_variance(self, var):
+        with pytest.raises(DomainError, match="positive finite scalar"):
+            gen_mixture([(0, (0.0, 0.0), var, 10)], seed=1)
 
     def test_deterministic_under_seed(self):
         a = gen_mixture([(0, (0.0, 0.0), 1.0, 50)], seed=33)
@@ -86,6 +92,18 @@ class TestCsv:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert b"\n0,-0.0,0.0,5e-324\n" in new
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_bytes_match_at_block_edges(self, tmp_path, n):
+        # an int column next to float columns, across the writer's blocks
+        floats = np.r_[np.nan, np.inf, -np.inf,
+                       special_floats(Rng(13 + n), 3 * n)][:3 * n]
+        ds = Dataset(floats.reshape(n, 3), np.arange(n) % 3)
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\n") == 1 + n
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -130,6 +148,40 @@ class TestCsv:
         path.write_text("label,f0\n0.5,1.0\n")
         with pytest.raises(CsvFormatError, match="label"):
             load_csv(path)
+
+
+class TestWriteCsv:
+    def test_header_only_for_no_rows(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"],
+                  [np.zeros(0, dtype=np.int64), np.zeros(0)])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+
+    def test_int_bool_and_float_cells(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["i", "flag", "x"],
+                  [np.array([7, -2]), np.array([True, False]),
+                   np.array([0.5, 3.0], dtype=np.float32)])
+        assert (tmp_path / "t.csv").read_bytes() == \
+            b"i,flag,x\n7,1,0.5\n-2,0,3.0\n"
+
+    def test_one_row_of_special_values(self, tmp_path):
+        values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                  1e308, 0.1]
+        write_csv(tmp_path / "t.csv", [f"c{j}" for j in range(len(values))],
+                  [np.array([v]) for v in values])
+        assert (tmp_path / "t.csv").read_text().splitlines()[1] == \
+            ",".join(map(repr, values))
+
+    def test_names_must_match_columns(self, tmp_path):
+        with pytest.raises(ShapeError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3)])
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(3), np.zeros(2)], [np.zeros((3, 1)), np.zeros(3)]],
+        ids=["ragged", "2-d"])
+    def test_columns_must_be_1d_of_one_length(self, tmp_path, columns):
+        with pytest.raises(ShapeError, match="one length"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestStandardizer:

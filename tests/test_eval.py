@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cccpde.evaluate as ev
 from cccpde.bayes import PosteriorBatch
+from cccpde.data import CSV_BLOCK_ROWS
 from cccpde.errors import DomainError, ShapeError
 from cccpde.numerics import Rng
 
@@ -15,13 +18,17 @@ from helpers import (
 )
 
 
-def make_batch(intervals):
+def make_batch(intervals, threshold=0.1, log_densities=None):
+    """A batch with the given interval ends that abstains, as the posterior
+    does, where the interval is wider than the threshold."""
     lo, hi = (np.array(ends, dtype=np.float64) for ends in zip(*intervals))
     n = lo.size
+    if log_densities is None:
+        log_densities = np.zeros((n, 2))
     return PosteriorBatch(
-        log_densities=np.zeros((n, 2)), counts=np.zeros((n, 2)),
+        log_densities=log_densities, counts=np.zeros((n, 2)),
         a=np.ones(n), b=np.ones(n), lo=lo, hi=hi,
-        mean=0.5 * (lo + hi), abstain=(hi - lo) > 0.1)
+        mean=0.5 * (lo + hi), abstain=(hi - lo) > threshold)
 
 
 class TestRocAuc:
@@ -116,13 +123,13 @@ class TestRatioTest:
 class TestFiltering:
     def test_retention_semantics(self):
         batch = make_batch([(0.33, 0.36), (0.13, 0.55)])
-        retained, rejected = ev.filter_by_uncertainty(batch, 0.1)
+        retained, rejected = ev.filter_by_uncertainty(batch)
         assert retained.tolist() == [0]
         assert rejected.tolist() == [1]
 
     def test_threshold_above_one_rejects_nothing(self):
-        batch = make_batch([(0.0, 0.95), (0.4, 0.6)])
-        retained, rejected = ev.filter_by_uncertainty(batch, 1.0)
+        batch = make_batch([(0.0, 0.95), (0.4, 0.6)], threshold=1.0)
+        retained, rejected = ev.filter_by_uncertainty(batch)
         assert rejected.size == 0
         assert retained.size == 2
 
@@ -132,23 +139,24 @@ class TestFiltering:
         for _ in range(40):
             lo = 0.4 * rng.random()
             intervals.append((lo, lo + 0.6 * rng.random()))
-        batch = make_batch(intervals)
         previous = set()
         for threshold in (0.05, 0.1, 0.2, 0.4, 0.8):
-            retained, rejected = ev.filter_by_uncertainty(batch, threshold)
+            batch = make_batch(intervals, threshold)
+            retained, rejected = ev.filter_by_uncertainty(batch)
             merged = np.sort(np.concatenate([retained, rejected]))
             assert np.array_equal(merged, np.arange(40))
             current = set(retained.tolist())
             assert previous <= current  # raising threshold never shrinks it
             previous = current
 
-    def test_threshold_validated(self):
-        with pytest.raises(DomainError):
-            ev.filter_by_uncertainty(make_batch([(0.1, 0.2)]), 0.0)
-
-    def test_nan_threshold_rejected(self):
-        with pytest.raises(DomainError, match="threshold must be positive"):
-            ev.filter_by_uncertainty(make_batch([(0.1, 0.2)]), float("nan"))
+    def test_partition_is_the_abstain_flags(self):
+        # the filter reads the posterior's decision; it never re-derives it
+        # from the interval range
+        batch = make_batch([(0.3, 0.35), (0.1, 0.9), (0.4, 0.45)])
+        flipped = dataclasses.replace(batch, abstain=~batch.abstain)
+        retained, rejected = ev.filter_by_uncertainty(flipped)
+        assert retained.tolist() == [1]
+        assert rejected.tolist() == [0, 2]
 
 
 class TestFilteredComparison:
@@ -159,7 +167,7 @@ class TestFilteredComparison:
         scores = {"only": rng.uniforms(30)}
         batch = make_batch([(0.4, 0.42)] * 30)
         curves, retained, rejected = ev.filtered_roc_comparison(
-            labels, scores, batch, 0.1)
+            labels, scores, batch)
         assert rejected.size == 0
         full, filtered = curves["only"]
         assert full.auc == filtered.auc
@@ -169,10 +177,25 @@ class TestFilteredComparison:
         labels = np.array([0, 1, 0])
         batch = make_batch([(0.1, 0.15)] * 3)
         with pytest.raises(ShapeError):
-            ev.filtered_roc_comparison(labels, {"s": np.zeros(2)}, batch, 0.1)
+            ev.filtered_roc_comparison(labels, {"s": np.zeros(2)}, batch)
         with pytest.raises(ShapeError):
             ev.filtered_roc_comparison(labels, {"s": np.zeros(3)},
-                                       make_batch([(0.1, 0.15)] * 2), 0.1)
+                                       make_batch([(0.1, 0.15)] * 2))
+
+    def test_retained_set_without_a_class_gives_no_filtered_curve(self):
+        labels = np.array([0, 1, 0, 1, 1])
+        # only the class-1 rows have narrow intervals
+        batch = make_batch([(0.1, 0.9), (0.4, 0.42), (0.2, 0.8), (0.5, 0.51),
+                            (0.6, 0.65)])
+        scores = {"a": np.array([0.1, 0.9, 0.2, 0.8, 0.7]),
+                  "b": np.array([0.5, 0.4, 0.3, 0.2, 0.1])}
+        curves, retained, rejected = ev.filtered_roc_comparison(
+            labels, scores, batch)
+        assert retained.tolist() == [1, 3, 4]
+        assert rejected.tolist() == [0, 2]
+        for name, (full, filtered) in curves.items():
+            assert filtered is None
+            assert full.auc == ev.roc_auc(scores[name], labels).auc
 
 
 class TestInSetScore:
@@ -252,11 +275,11 @@ class TestCsvWriters:
         assert np.isinf(parsed[0, 2])
 
     def test_reports_csv_columns(self, tmp_path):
-        batch = make_batch([(0.2, 0.3), (0.1, 0.9)])
+        batch = make_batch([(0.2, 0.3), (0.1, 0.9)], log_densities=np.array(
+            [[-1.0, -2.0], [-3.0, -4.0]]))
         path = tmp_path / "reports.csv"
         ev.write_reports_csv(path, np.array([0, 1]), np.array([0.4, 0.6]),
-                             np.array([0.3, 0.7]),
-                             np.array([[-1.0, -2.0], [-3.0, -4.0]]), batch)
+                             np.array([0.3, 0.7]), batch)
         rows = path.read_text().splitlines()
         assert rows[0] == ("index,label,score_ffnn,score_sigmoid,"
                            "logp_class0,logp_class1,post_mean,ci_lo,ci_hi,"
@@ -266,6 +289,7 @@ class TestCsvWriters:
                            for row in rows[1:]])  # every cell must parse
         assert parsed[0, 0] == 0.0
         assert parsed[0, 6] == 0.25  # midpoint of the interval (0.2, 0.3)
+        assert parsed[:, 4:6].tolist() == [[-1.0, -2.0], [-3.0, -4.0]]
         assert set(parsed[:, 9].tolist()) <= {0.0, 1.0}
 
     def test_bytes_match_per_scalar_formatters(self, tmp_path):
@@ -287,14 +311,50 @@ class TestCsvWriters:
              lambda p: reference_write_roc_csv(curve, p))
 
         lo = np.sort(rng.uniforms(n))
-        batch = make_batch(list(zip(lo, np.minimum(lo + 0.2, 1.0))))
-        args = (np.arange(n) % 2, np.r_[np.nan, col()[1:]], col(),
-                np.column_stack([col(), col()]), batch)
-        out = same(lambda p: ev.write_reports_csv(p, *args),
-                   lambda p: reference_write_reports_csv(p, *args))
+        log_d = np.column_stack([col(), col()])
+        batch = make_batch(list(zip(lo, np.minimum(lo + 0.2, 1.0))),
+                           log_densities=log_d)
+        scores = (np.arange(n) % 2, np.r_[np.nan, col()[1:]], col())
+        out = same(lambda p: ev.write_reports_csv(p, *scores, batch),
+                   lambda p: reference_write_reports_csv(p, *scores, log_d,
+                                                         batch))
         assert b"\n0,0,nan,-0.0,-0.0,-0.0," in out
 
         grid = (col()[:20], col()[:10], np.column_stack([col(), col(), col()]),
+                col())
+        same(lambda p: ev.write_density_grid_csv(p, *grid),
+             lambda p: reference_write_density_grid_csv(p, *grid))
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1])
+    def test_bytes_match_at_block_edges(self, tmp_path, n):
+        rng = Rng(107 + n)
+
+        def col():
+            return np.r_[np.nan, np.inf, -np.inf, special_floats(rng, n)][:n]
+
+        def same(write_new, write_old):
+            write_new(tmp_path / "new.csv")
+            write_old(tmp_path / "old.csv")
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "old.csv").read_bytes()
+            assert new.count(b"\n") == 1 + n
+
+        curve = ev.RocCurve(col(), col(), col(), 0.5)
+        same(lambda p: ev.write_roc_csv(curve, p),
+             lambda p: reference_write_roc_csv(curve, p))
+
+        lo = rng.uniforms(n)
+        hi = lo + 0.15 * rng.uniforms(n)
+        log_d = np.column_stack([col(), col()])
+        batch = PosteriorBatch(
+            log_densities=log_d, counts=np.zeros((n, 2)), a=np.ones(n),
+            b=np.ones(n), lo=lo, hi=hi, mean=col(), abstain=(hi - lo) > 0.1)
+        scores = (np.arange(n) % 2, col(), col())
+        same(lambda p: ev.write_reports_csv(p, *scores, batch),
+             lambda p: reference_write_reports_csv(p, *scores, log_d, batch))
+
+        grid = (col(), np.array([-0.0]), np.column_stack([col(), col()]),
                 col())
         same(lambda p: ev.write_density_grid_csv(p, *grid),
              lambda p: reference_write_density_grid_csv(p, *grid))

@@ -449,7 +449,7 @@ class TestDenseBlock:
 
         def masked_pipeline(v):
             h = block.dense.forward(v * mask * scale)
-            return activation(block.activation_tag, block.norm.forward(h))
+            return activation("elu", block.norm.forward(h))
 
         fd = finite_diff_grad(
             lambda v: float((masked_pipeline(v) * weights).sum()), x.copy(), 1e-6)

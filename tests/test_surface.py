@@ -38,6 +38,7 @@ REMOVED = {
     "numerics": ["finite_diff_grad"],
     "nn": ["activation_grad"],
     "data": ["split"],
+    "evaluate": ["_write_rows"],
     "flow.FlowStack": ["log_density"],
 }
 
