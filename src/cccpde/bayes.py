@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, UnsupportedError
+from .errors import DomainError, NumericError, ShapeError
 from .numerics import log_gamma
 
 UNDERFLOW_LOG = -700.0
@@ -580,14 +580,9 @@ def _posterior(log_densities: np.ndarray, class_counts: np.ndarray,
     if not threshold > 0:
         raise DomainError(f"threshold must be positive, got {threshold}")
     _check_mass(mass)
-    if log_densities.ndim != 2:
-        raise ShapeError(f"log-densities must be (n, classes), got "
+    if log_densities.ndim != 2 or log_densities.shape[1] != 2:
+        raise ShapeError(f"log-densities must be (n, 2), got "
                          f"shape {log_densities.shape}")
-    if log_densities.shape[1] != 2:
-        raise UnsupportedError(
-            "posterior reports support binary models only; a multiclass "
-            "version needs a Dirichlet-multinomial treatment that is not "
-            "implemented here")
     counts = pseudo_counts(log_densities, class_counts, volume)
     a = prior.a + counts[:, 1]
     b = prior.b + counts[:, 0]

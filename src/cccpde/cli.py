@@ -145,8 +145,7 @@ def _cmd_train(args) -> int:
         model = FfnnModel(dataset.dim, cfg["hidden"], cfg["ffnn_blocks"],
                           cfg["dropout"], init_rng)
     else:
-        n_classes = max(dataset.n_classes, 2)
-        model = CccpDeModel(dataset.dim, n_classes, cfg["hidden"],
+        model = CccpDeModel(dataset.dim, 2, cfg["hidden"],
                             cfg["base_depth"], cfg["head_depth"],
                             cfg["disc_blocks"], cfg["dropout"], init_rng,
                             flow_weight=cfg["flow_weight"],

@@ -4,7 +4,8 @@ The presets reproduce three uncertainty regimes on 2-D Gaussian mixtures:
 cleanly separable classes, heavily overlapping classes (irreducible
 ambiguity), and an open-set layout whose extra cluster never appears in
 training. CSV is the only interchange format: header `label,f0,...,fK`,
-one integer label plus float features per row.
+one label plus float features per row. The detector is binary, so every
+label is 0 or 1.
 """
 
 from __future__ import annotations
@@ -19,9 +20,24 @@ from .errors import CsvFormatError, DomainError, ShapeError
 from .numerics import Rng, derive_seed
 
 
+def binary_labels(labels) -> np.ndarray:
+    """`labels` as an array, checked to hold only 0 and 1.
+
+    The detector is binary; any other label raises a DomainError that
+    names the first row holding it.
+    """
+    labels = np.asarray(labels)
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DomainError(
+            f"labels must be 0 or 1, got {labels.flat[row]} in row {row}")
+    return labels
+
+
 @dataclass
 class Dataset:
-    """Feature matrix plus integer class labels."""
+    """Feature matrix plus 0/1 class labels."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -29,15 +45,14 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ShapeError(f"features must be 2-D, got {self.features.shape}")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise ShapeError(
                 f"label count {self.labels.shape} does not match "
                 f"{self.features.shape[0]} feature rows")
-        if self.labels.size and self.labels.min() < 0:
-            raise DomainError("labels must be nonnegative")
+        self.labels = binary_labels(self.labels).astype(np.int64)
 
     @property
     def n_rows(self) -> int:
@@ -46,10 +61,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
 def _check_variance(var) -> float:
@@ -217,8 +228,8 @@ def load_csv(path) -> Dataset:
         except ValueError:
             raise CsvFormatError(
                 f"non-integer label {cells[0]!r}", line=lineno) from None
-        if label < 0:
-            raise CsvFormatError(f"negative label {label}", line=lineno)
+        if label not in (0, 1):
+            raise CsvFormatError(f"label {label} is not 0 or 1", line=lineno)
         try:
             row = [float(c) for c in cells[1:]]
         except ValueError:
@@ -229,15 +240,7 @@ def load_csv(path) -> Dataset:
         features.append(row)
     feats = np.array(features, dtype=np.float64) if features \
         else np.zeros((0, dim))
-    labs = np.array(labels, dtype=np.int64)
-    if labs.size:
-        present = set(labs.tolist())
-        missing = sorted(set(range(max(present) + 1)) - present)
-        if missing:
-            warnings.warn(
-                f"labels imply {max(present) + 1} classes but "
-                f"{missing} never occur", stacklevel=2)
-    return Dataset(feats, labs, name=str(path))
+    return Dataset(feats, np.array(labels, dtype=np.int64), name=str(path))
 
 
 @dataclass

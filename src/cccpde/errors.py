@@ -37,7 +37,3 @@ class ModelTruncatedError(ModelFormatError):
 
 class ModelChecksumError(ModelFormatError):
     """Model file checksum does not match its contents."""
-
-
-class UnsupportedError(ValueError):
-    """Requested mode is outside what this implementation supports."""

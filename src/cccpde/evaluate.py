@@ -1,7 +1,9 @@
 """Classification and uncertainty evaluation.
 
 ROC curves sweep the unique scores with half-credit on ties, so the area
-matches the rank-based pair-counting statistic exactly. The posterior's
+matches the rank-based pair-counting statistic exactly. Equal scores tie,
+infinite ones included, and every nan score sits in one tie group ranked
+below -inf, so the area never depends on row order. The posterior's
 abstain flags partition the samples once and the same retained set is
 applied to every scorer, keeping before/after curves comparable across
 models. Every CSV is written by `data.write_csv`.
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import PosteriorBatch
-from .data import write_csv
+from .data import binary_labels, write_csv
 from .errors import DomainError, ShapeError
 from .numerics import logsumexp
 
@@ -38,20 +40,19 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ShapeError(
             f"scores {scores.shape} and labels {labels.shape} must be equal 1-D")
-    bad = (labels != 0) & (labels != 1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DomainError(f"ROC labels must be 0 or 1, got {labels[row]} "
-                          f"in row {row}")
+    labels = binary_labels(labels)
     pos_total = int(np.sum(labels == 1))
     neg_total = int(np.sum(labels == 0))
     if pos_total == 0 or neg_total == 0:
         raise DomainError("ROC needs at least one sample of each class")
+    # descending, with every nan last
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_pos = (labels[order] == 1).astype(np.float64)
-    # group indices where a run of tied scores ends
-    ends = np.nonzero(np.diff(sorted_scores))[0]
+    # group indices where a run of tied scores ends; a nan is followed
+    # only by nans, so the nan run is one group
+    ends = np.nonzero((sorted_scores[1:] != sorted_scores[:-1])
+                      & ~np.isnan(sorted_scores[:-1]))[0]
     ends = np.concatenate([ends, [scores.size - 1]])
     cum_tp = np.cumsum(sorted_pos)[ends]
     cum_fp = (ends + 1.0) - cum_tp
@@ -63,29 +64,27 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
 
 
 def ratio_test_classify(log_densities: np.ndarray,
-                        log_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Prior-weighted maximum-likelihood classification.
+                        log_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prior-weighted maximum-likelihood classification of (n, 2) densities.
 
-    Returns (predictions, scores). Rows where every class has zero density
-    get the NO_SUPPORT outcome instead of an arbitrary class. For binary
-    problems the score is the log odds (class 1 minus class 0); it is nan
-    on NO_SUPPORT rows. Ties break toward the lower class index.
+    Returns (predictions, scores). Rows where both classes have zero
+    density get the NO_SUPPORT outcome instead of an arbitrary class. The
+    score is the log odds (class 1 minus class 0); it is nan on NO_SUPPORT
+    rows. Ties break toward class 0.
     """
     log_densities = np.atleast_2d(np.asarray(log_densities, dtype=np.float64))
     log_priors = np.asarray(log_priors, dtype=np.float64).reshape(-1)
-    if log_densities.shape[1] != log_priors.size:
+    if log_densities.shape[1] != 2 or log_priors.size != 2:
         raise ShapeError(
-            f"{log_densities.shape[1]} classes of densities vs "
-            f"{log_priors.size} priors")
+            f"binary classification needs (n, 2) log-densities and 2 priors, "
+            f"got {log_densities.shape} and {log_priors.size}")
     adjusted = log_densities + log_priors[None, :]
     predictions = np.argmax(adjusted, axis=1).astype(np.int64)
     no_support = np.all(np.isneginf(adjusted), axis=1)
     predictions[no_support] = NO_SUPPORT
-    scores = None
-    if log_priors.size == 2:
-        with np.errstate(invalid="ignore"):
-            scores = adjusted[:, 1] - adjusted[:, 0]
-        scores[no_support] = np.nan
+    with np.errstate(invalid="ignore"):
+        scores = adjusted[:, 1] - adjusted[:, 0]
+    scores[no_support] = np.nan
     return predictions, scores
 
 

@@ -41,8 +41,10 @@ from .numerics import LOG_TWO_PI
 
 
 def gaussian_logpdf(z: np.ndarray) -> np.ndarray:
-    """Per-row log density of the unit isotropic Gaussian."""
-    return -0.5 * z.shape[1] * LOG_TWO_PI - 0.5 * (z * z).sum(axis=1)
+    """Per-row log density of the unit isotropic Gaussian; -inf where z * z
+    overflows, as on rows far outside the data."""
+    with np.errstate(over="ignore"):
+        return -0.5 * z.shape[1] * LOG_TWO_PI - 0.5 * (z * z).sum(axis=1)
 
 
 class CouplingLayer:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Standardizer
+from .data import Dataset, Standardizer, binary_labels
 from .errors import DomainError, ModelFormatError, ShapeError
 from .flow import FlowStack, gaussian_logpdf
 from .nn import (
@@ -85,10 +85,12 @@ class FfnnModel:
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
                        rng: Rng | None = None) -> float:
-        return self.head.loss_and_grads(self._model_space(x), y, rng)[0]
+        return self.head.loss_and_grads(self._model_space(x),
+                                        binary_labels(y), rng)[0]
 
     def eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        return bce_with_logits(self.head.logits(self._model_space(x)), y)[0]
+        return bce_with_logits(self.head.logits(self._model_space(x)),
+                               binary_labels(y))[0]
 
     def params(self) -> list[Param]:
         return self.head.params()
@@ -112,11 +114,13 @@ class FfnnModel:
 
 
 class CccpDeModel:
-    """Shared coupling base, per-class coupling heads, sigmoid side head.
+    """Shared coupling base, one coupling head per class, sigmoid side head.
 
     Class-k log-density composes the base and head-k forward log-dets with
     the unit-Gaussian latent at the head output. The sigmoid head reads the
     base output through dense blocks; its loss propagates into the base.
+    The detector is binary: classes 0 and 1. `n_classes` keeps its
+    positional slot and its model-file key, and accepts only 2.
     """
 
     def __init__(self, dim: int, n_classes: int = 2, hidden: int = 64,
@@ -124,8 +128,9 @@ class CccpDeModel:
                  disc_blocks: int = 3, dropout_rate: float = 0.05,
                  rng: Rng | None = None, *, flow_weight: float = 1.0,
                  disc_weight: float = 1.0):
-        if n_classes < 2:
-            raise DomainError(f"need at least 2 classes, got {n_classes}")
+        if n_classes != 2:
+            raise DomainError(f"the detector is binary: n_classes must be 2, "
+                              f"got {n_classes}")
         _check_network(min(hidden, head_depth, disc_blocks) >= 1
                        and base_depth >= 0, dropout_rate)
         if flow_weight < 0 or disc_weight < 0:
@@ -133,15 +138,14 @@ class CccpDeModel:
         self.flow_weight = flow_weight
         self.disc_weight = disc_weight
         self.dim = dim
-        self.n_classes = n_classes
         self.hidden = hidden
         self.base = FlowStack.build(dim, base_depth, hidden, rng)
         self.heads = [FlowStack.build(dim, head_depth, hidden, rng)
-                      for _ in range(n_classes)]
+                      for _ in range(2)]
         self.disc = SigmoidHead(dim, hidden, disc_blocks, dropout_rate, rng)
         self.dropout_rate = dropout_rate
-        self.class_counts = np.zeros(n_classes)
-        self.class_priors = np.full(n_classes, 1.0 / n_classes)
+        self.class_counts = np.zeros(2)
+        self.class_priors = np.full(2, 0.5)
         self.standardizer: Standardizer | None = None
 
     # -- forward passes ----------------------------------------------------
@@ -153,17 +157,17 @@ class CccpDeModel:
         return self.standardizer.apply(x), self.standardizer.log_volume_scale
 
     def _flows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class log-densities (n, M) and the base output; no disc head."""
+        """Per-class log-densities (n, 2) and the base output; no disc head."""
         xs, correction = self._model_space(x)
         base_out, log_det_base = self.base(xs)
-        log_d = np.empty((xs.shape[0], self.n_classes))
+        log_d = np.empty((xs.shape[0], 2))
         for k, head in enumerate(self.heads):
             z, log_det_head = head(base_out)
             log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
         return log_d + correction, base_out
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class log-densities (n, M) and sigmoid scores (n,)."""
+        """Per-class log-densities (n, 2) and sigmoid scores (n,)."""
         log_d, base_out = self._flows(x)
         return log_d, self.disc(base_out)
 
@@ -173,25 +177,16 @@ class CccpDeModel:
 
     def sample_class(self, class_index: int, rng: Rng, n: int) -> np.ndarray:
         """Draw from one class head: latent draws inverted through head and base."""
-        if not 0 <= class_index < self.n_classes:
-            raise DomainError(
-                f"class index {class_index} out of range [0, {self.n_classes})")
+        if class_index not in (0, 1):
+            raise DomainError(f"class index must be 0 or 1, got {class_index}")
         xs = self.base.inverse(self.heads[class_index].sample(rng, n))
         return self.standardizer.inverse(xs) if self.standardizer else xs
 
     # -- training ----------------------------------------------------------
 
-    def _check_labels(self, labels: np.ndarray) -> np.ndarray:
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-            raise DomainError(
-                f"labels must lie in [0, {self.n_classes}), got "
-                f"[{labels.min()}, {labels.max()}]")
-        return labels.astype(np.int64)
-
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
                        rng: Rng | None = None) -> float:
-        labels = self._check_labels(labels)
+        labels = binary_labels(labels)
         xs, _ = self._model_space(x)
         n = xs.shape[0]
         base_out, log_det_base = self.base.forward(xs)
@@ -213,7 +208,7 @@ class CccpDeModel:
         return self.flow_weight * flow_nll / n + self.disc_weight * disc_loss
 
     def eval_loss(self, x: np.ndarray, labels: np.ndarray) -> float:
-        labels = self._check_labels(labels)
+        labels = binary_labels(labels)
         xs, _ = self._model_space(x)
         n = xs.shape[0]
         base_out, log_det_base = self.base(xs)
@@ -227,12 +222,6 @@ class CccpDeModel:
             flow_nll -= float(log_p.sum())
         disc_loss, _ = bce_with_logits(self.disc.logits(base_out), labels)
         return self.flow_weight * flow_nll / n + self.disc_weight * disc_loss
-
-    def record_class_stats(self, labels: np.ndarray) -> None:
-        labels = self._check_labels(labels)
-        counts = np.bincount(labels, minlength=self.n_classes).astype(np.float64)
-        self.class_counts = counts
-        self.class_priors = counts / counts.sum()
 
     def params(self) -> list[Param]:
         out = self.base.params()
@@ -254,7 +243,7 @@ class CccpDeModel:
 
     def to_state(self) -> tuple[dict, list]:
         meta = {
-            "dim": self.dim, "n_classes": self.n_classes, "hidden": self.hidden,
+            "dim": self.dim, "n_classes": 2, "hidden": self.hidden,
             "base_depth": len(self.base.layers),
             "head_depth": len(self.heads[0].layers),
             "disc_blocks": len(self.disc.blocks),
@@ -319,8 +308,13 @@ def train(model, dataset: Dataset, config: TrainConfig,
         raise ShapeError(
             f"model expects {model.dim} features, dataset has {dataset.dim}")
     features, labels = dataset.features, dataset.labels
+    counts = np.bincount(labels, minlength=2).astype(np.float64)
+    if not counts.all():
+        raise DomainError(
+            f"training set has no rows of class {int(np.argmin(counts))}")
     if isinstance(model, CccpDeModel):
-        model.record_class_stats(labels)
+        model.class_counts = counts
+        model.class_priors = counts / counts.sum()
     adam = AdamState(config.learning_rate)
     params = model.params()
     n = dataset.n_rows
@@ -389,7 +383,10 @@ def _build(cls, meta: dict, arrays: list, *sizes: str):
     for key in sizes + ("dropout",):
         if key not in meta:
             raise ModelFormatError(f"model file is missing metadata {key!r}")
-    model = cls(*(int(meta[key]) for key in sizes), meta["dropout"])
+    try:
+        model = cls(*(int(meta[key]) for key in sizes), meta["dropout"])
+    except DomainError as exc:
+        raise ModelFormatError(f"model file metadata: {exc}") from None
     if meta.get("has_standardizer"):
         model.standardizer = Standardizer(np.zeros(model.dim), np.ones(model.dim))
     stored = {}

@@ -207,7 +207,11 @@ class LayerNorm:
         return (x - mean) * inv, inv
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._standardize(x)[0] * self.gain.value + self.bias.value
+        # rows far outside the data overflow the variance to inf; their
+        # inverse scale is then 0
+        with np.errstate(over="ignore"):
+            xhat = self._standardize(x)[0]
+        return xhat * self.gain.value + self.bias.value
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = self._standardize(x)  # (xhat, inv)

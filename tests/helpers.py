@@ -142,13 +142,16 @@ def mp_central_diff_grad(f, x, dps=50) -> np.ndarray:
 
 
 def auc_bruteforce(scores, labels) -> float:
-    """Pair-counting AUC: correctly ordered pairs plus half credit on ties."""
+    """Pair-counting AUC: correctly ordered pairs plus half credit on ties.
+
+    A nan score ranks below every other score, -inf included, and ties
+    with every other nan."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
+    pos = scores[labels == 1][:, None]
+    neg = scores[labels == 0][None, :]
+    wins = ((pos > neg) | (~np.isnan(pos) & np.isnan(neg))).sum()
+    ties = ((pos == neg) | (np.isnan(pos) & np.isnan(neg))).sum()
     return (wins + 0.5 * ties) / (pos.size * neg.size)
 
 
@@ -392,7 +395,7 @@ def reference_training_pairs():
 
 def reference_cccpde_loss_and_grads(model, x, labels, rng):
     """`CccpDeModel.loss_and_grads` as it looped over `np.unique(labels)`."""
-    labels = model._check_labels(labels)
+    labels = np.asarray(labels, dtype=np.int64)
     xs, _ = model._model_space(x)
     n = xs.shape[0]
     base_out, log_det_base = model.base.forward(xs)

@@ -17,7 +17,7 @@ from cccpde.bayes import (
     posterior_reports,
     pseudo_counts,
 )
-from cccpde.errors import DomainError, UnsupportedError
+from cccpde.errors import DomainError, ShapeError
 from cccpde.flow import FlowStack
 from cccpde.numerics import Rng
 
@@ -315,7 +315,7 @@ class TestPosteriorReport:
         assert report.abstain
 
     def test_multiclass_rejected(self):
-        with pytest.raises(UnsupportedError, match="Dirichlet"):
+        with pytest.raises(ShapeError, match=r"\(n, 2\)"):
             posterior_report(np.zeros(3), np.ones(3),
                              BetaPosterior(1.0, 1.0), 0.1)
 
@@ -457,7 +457,7 @@ class TestPosteriorBatch:
             posterior_reports(log_d, np.ones(2), BetaPosterior(1.0, 1.0), 1.0)
 
     def test_multiclass_rejected(self):
-        with pytest.raises(UnsupportedError, match="Dirichlet"):
+        with pytest.raises(ShapeError, match=r"\(n, 2\)"):
             posterior_reports(np.zeros((2, 3)), np.ones(3),
                               BetaPosterior(1.0, 1.0), 0.1)
 

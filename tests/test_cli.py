@@ -1,10 +1,12 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import cccpde.cli as cli
+from cccpde.bayes import BetaPosterior, posterior_reports
 from cccpde.cli import build_parser, main
 from cccpde.data import load_csv, regression_true_mean
 from cccpde.model import load_model, save_model
@@ -12,6 +14,7 @@ from cccpde.model import load_model, save_model
 from helpers import (
     rel_err,
     reference_write_glm_demo_csv,
+    reference_write_reports_csv,
     reference_write_trace_csv,
 )
 
@@ -136,6 +139,17 @@ class TestTrain:
         assert run("train", "--model", "ffnn", "--data",
                    tmp_path / "nope.csv", "--out", tmp_path / "m.bin") == 1
 
+    @pytest.mark.parametrize("model", ["cccpde", "ffnn"])
+    def test_three_class_csv_is_runtime_error(self, tmp_path, capsys, model):
+        data = tmp_path / "three.csv"
+        rows = [f"{k % 3},{0.1 * k},{-0.2 * k}" for k in range(9)]
+        data.write_text("label,f0,f1\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "m" / "model.bin"
+        assert run("train", "--model", model, "--data", data, "--out", out,
+                   "--epochs", 1, "--hidden", 4) == 1
+        assert "label 2 is not 0 or 1 (line 4)" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [data]
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--hidden", 0, "network sizes must be positive"),
         ("--head-depth", 0, "network sizes must be positive"),
@@ -223,6 +237,35 @@ class TestEval:
                    "--out", tmp_path / "e", "--volume", volume) == 1
         assert "volume must be positive and finite" in capsys.readouterr().err
 
+    def test_extreme_rows_abstain_without_warnings(self, toy_run, tmp_path):
+        # z * z and the disc and baseline LayerNorm variances overflow on
+        # these rows; both log-densities are -inf and the row abstains
+        data = tmp_path / "extreme.csv"
+        data.write_text("label,f0,f1\n0,1e300,-1e300\n1,-1e300,1e300\n"
+                        "0,0.5,0.1\n1,1e300,1e300\n")
+        out = tmp_path / "e"
+        assert run("eval", "--model", toy_run["cc"], "--ffnn", toy_run["ffnn"],
+                   "--data", data, "--out", out) == 0
+        model, baseline = load_model(toy_run["cc"]), load_model(toy_run["ffnn"])
+        ds = load_csv(data)
+        with np.errstate(over="ignore"):
+            log_d, sigmoid = model.forward(ds.features)
+            ffnn = baseline.score(ds.features)
+        batch = posterior_reports(log_d, model.class_counts,
+                                  BetaPosterior(1.0, 1.0),
+                                  cli._default_volume(model))
+        reference_write_reports_csv(tmp_path / "ref.csv", ds.labels, ffnn,
+                                    sigmoid, log_d, batch)
+        assert (out / "reports.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+        rows = [r.split(",") for r in
+                (out / "reports.csv").read_text().splitlines()[1:]]
+        assert [r[4:6] + r[-1:] for r in rows[:2] + rows[3:]] \
+            == [["-inf", "-inf", "1"]] * 3
+        # the three no-support rows share one nan threshold
+        roc = (out / "roc_ratio.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in roc].count("nan") == 1
+
     def test_large_volume_succeeds(self, toy_run, tmp_path):
         # pseudo-counts near 1e6 and beyond once broke the incomplete beta
         out = tmp_path / "e"
@@ -239,7 +282,8 @@ class TestSampleAndGrid:
         out = tmp_path / "samples.csv"
         assert run("sample", "--model", toy_run["cc"], "--class-index", 1,
                    "--count", 10, "--out", out, "--seed", 4) == 0
-        with pytest.warns(UserWarning):  # single-class file, by design
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a one-class file is valid
             ds = load_csv(out)
         assert ds.n_rows == 10
         assert set(ds.labels.tolist()) == {1}

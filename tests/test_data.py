@@ -75,14 +75,12 @@ class TestGenMixture:
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
         ds = gen_mixture([(0, (0.0, 0.0), 1.0, 40),
-                          (3, (2.0, -1.0), 0.5, 40)], seed=7)
+                          (1, (2.0, -1.0), 0.5, 40)], seed=7)
         path = tmp_path / "ds.csv"
-        with pytest.warns(UserWarning, match=r"\[1, 2\]"):
-            save_csv(ds, path)
-            back = load_csv(path)
+        save_csv(ds, path)
+        back = load_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
-        assert back.n_classes == 4
 
     def test_bytes_match_per_scalar_formatter(self, tmp_path):
         features = special_floats(Rng(12), 300 * 3).reshape(300, 3)
@@ -98,7 +96,7 @@ class TestCsv:
         # an int column next to float columns, across the writer's blocks
         floats = np.r_[np.nan, np.inf, -np.inf,
                        special_floats(Rng(13 + n), 3 * n)][:3 * n]
-        ds = Dataset(floats.reshape(n, 3), np.arange(n) % 3)
+        ds = Dataset(floats.reshape(n, 3), np.arange(n) % 2)
         save_csv(ds, tmp_path / "new.csv")
         reference_save_csv(ds, tmp_path / "old.csv")
         new = (tmp_path / "new.csv").read_bytes()
@@ -147,6 +145,14 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("label,f0\n0.5,1.0\n")
         with pytest.raises(CsvFormatError, match="label"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_other_than_zero_one_names_line(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f0\n0,1.0\n1,2.0\n{label},3.0\n")
+        with pytest.raises(CsvFormatError,
+                           match=f"label {label} is not 0 or 1 \\(line 4\\)"):
             load_csv(path)
 
 
@@ -241,6 +247,13 @@ class TestDatasetInvariants:
     def test_negative_labels_rejected(self):
         with pytest.raises(DomainError):
             Dataset(np.zeros((2, 2)), np.array([-1, 0]))
+
+    @pytest.mark.parametrize("labels, row", [
+        ([0, 1, 2], 2), ([1, -1, 0], 1), ([0, 1, 0.5], 2), ([0, np.nan, 1], 1),
+    ])
+    def test_labels_other_than_zero_one_name_the_row(self, labels, row):
+        with pytest.raises(DomainError, match=f"0 or 1, got .* in row {row}$"):
+            Dataset(np.zeros((3, 2)), np.array(labels))
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError, match="separable"):

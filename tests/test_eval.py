@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -68,6 +69,28 @@ class TestRocAuc:
             curve = ev.roc_auc(scores, labels)
             assert abs(curve.auc - auc_bruteforce(scores, labels)) < 1e-12
 
+    @pytest.mark.parametrize("special", [np.nan, -np.inf, np.inf])
+    def test_two_tied_special_scores_ignore_row_order(self, special):
+        scores = np.array([special, special, 0.5, 0.1])
+        labels = np.array([1, 0, 1, 0])
+        aucs = {ev.roc_auc(scores[list(p)], labels[list(p)]).auc
+                for p in itertools.permutations(range(4))}
+        assert aucs == {auc_bruteforce(scores, labels)}
+
+    def test_infinite_and_nan_ties_ignore_row_order(self):
+        # equal infinities tie, and every nan sits in one group below -inf
+        scores = np.array([np.nan, np.inf, -np.inf, 0.5, np.nan, -np.inf,
+                           np.inf, 0.1, 0.5, np.nan, -np.inf, 0.1])
+        labels = np.array([1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0])
+        expected = auc_bruteforce(scores, labels)
+        rng = Rng(103)
+        for _ in range(30):
+            order = rng.permutation(scores.size)
+            curve = ev.roc_auc(scores[order], labels[order])
+            assert abs(curve.auc - expected) < 1e-12
+            np.testing.assert_array_equal(
+                curve.thresholds, [np.inf, np.inf, 0.5, 0.1, -np.inf, np.nan])
+
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
             ev.roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
@@ -112,6 +135,12 @@ class TestRatioTest:
         pred, _ = ev.ratio_test_classify(np.array([[-1.0, -1.0]]),
                                          np.log([0.5, 0.5]))
         assert pred[0] == 0
+
+    @pytest.mark.parametrize("columns, priors", [(3, 3), (2, 3), (3, 2)])
+    def test_only_two_classes(self, columns, priors):
+        with pytest.raises(ShapeError, match=r"\(n, 2\)"):
+            ev.ratio_test_classify(np.zeros((2, columns)),
+                                   np.log(np.full(priors, 1.0 / priors)))
 
     def test_binary_score_is_log_odds(self):
         _, scores = ev.ratio_test_classify(np.array([[-4.0, -1.0]]),

@@ -55,11 +55,17 @@ def small_model(dim=4, hidden=6, dropout=0.0, seed=8, head_depth=1):
                        dropout_rate=dropout, rng=Rng(seed))
 
 
+both_models = pytest.mark.parametrize("build", [
+    lambda: small_model(dim=2),
+    lambda: FfnnModel(2, hidden=4, n_blocks=1, rng=Rng(9)),
+], ids=["cccpde", "ffnn"])
+
+
 class TestCccpDeForward:
     def test_untrained_heads_agree(self):
         # scale/shift output layers start at zero, so every head is the
         # same identity transform and all class densities coincide
-        model = CccpDeModel(3, 4, hidden=8, rng=Rng(1))
+        model = CccpDeModel(3, 2, hidden=8, rng=Rng(1))
         x = Rng(2).normals(15).reshape(5, 3)
         log_d, _ = model.forward(x)
         assert np.abs(log_d - log_d[:, :1]).max() == 0.0
@@ -332,6 +338,12 @@ class TestJointLoss:
         with pytest.raises(DomainError):
             model.loss_and_grads(np.zeros((2, 4)), np.array([0, 2]))
 
+    @both_models
+    @pytest.mark.parametrize("method", ["loss_and_grads", "eval_loss"])
+    def test_labels_other_than_zero_one_name_the_row(self, build, method):
+        with pytest.raises(DomainError, match="0 or 1, got 2 in row 2$"):
+            getattr(build(), method)(np.zeros((3, 2)), np.array([0, 1, 2]))
+
     def test_loss_decreases_over_early_steps(self):
         ds = gen_mixture([(0, (-2.0, 0.0), 0.25, 128),
                           (1, (2.0, 0.0), 0.25, 128)], seed=17)
@@ -368,7 +380,10 @@ class TestTraining:
         (lambda: FfnnModel(2, n_blocks=0), "network sizes must be positive"),
         (lambda: CccpDeModel(2, hidden=0), "network sizes must be positive"),
         (lambda: FfnnModel(2, dropout_rate=1.0), "dropout must lie in"),
-    ], ids=["ffnn-blocks", "cccpde-hidden", "ffnn-dropout"])
+        (lambda: CccpDeModel(2, 3), "n_classes must be 2, got 3"),
+        (lambda: CccpDeModel(2, 1), "n_classes must be 2, got 1"),
+    ], ids=["ffnn-blocks", "cccpde-hidden", "ffnn-dropout", "cccpde-3-classes",
+            "cccpde-1-class"])
     def test_network_settings_validated(self, build, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             build()
@@ -395,6 +410,13 @@ class TestTraining:
         ds = gen_mixture([(0, (0.0, 0.0, 0.0), 1.0, 8)], seed=1)
         with pytest.raises(ShapeError):
             train(small_model(dim=2), ds, TrainConfig(epochs=1), Rng(0))
+
+    @both_models
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_training_set_rejected(self, build, label):
+        ds = gen_mixture([(label, (0.0, 0.0), 1.0, 8)], seed=1)
+        with pytest.raises(DomainError, match=f"no rows of class {1 - label}"):
+            train(build(), ds, TrainConfig(epochs=1), Rng(0))
 
     def test_class_stats_recorded(self):
         ds = gen_mixture([(0, (0.0, 0.0), 1.0, 30),
@@ -583,6 +605,14 @@ class TestLoaderChecks:
             with pytest.raises(ModelFormatError,
                                match=re.escape(f"missing metadata {key!r}")):
                 self.rewrite_and_load(path, kind, dropped, arrays)
+
+    @pytest.mark.parametrize("n_classes", [1.0, 3.0])
+    def test_n_classes_other_than_two(self, tmp_path, n_classes):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        assert meta["n_classes"] == 2
+        with pytest.raises(ModelFormatError, match="n_classes must be 2"):
+            self.rewrite_and_load(path, kind, {**meta, "n_classes": n_classes},
+                                  arrays)
 
     def test_perm_not_a_permutation(self, tmp_path):
         path, (kind, meta, arrays) = self.stored(tmp_path)

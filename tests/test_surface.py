@@ -40,6 +40,10 @@ REMOVED = {
     "data": ["split"],
     "evaluate": ["_write_rows"],
     "flow.FlowStack": ["log_density"],
+    # the detector is binary
+    "errors": ["UnsupportedError"],
+    "data.Dataset": ["n_classes"],
+    "model.CccpDeModel": ["_check_labels", "record_class_stats"],
 }
 
 
@@ -56,6 +60,13 @@ def test_test_only_names_are_gone(owner):
     if cls:
         obj = getattr(obj, cls)
     assert [name for name in REMOVED[owner] if hasattr(obj, name)] == []
+
+
+def test_cccpde_model_second_positional_is_n_classes():
+    # bench/micro.py calls CccpDeModel(dim, 2, ...); without this slot the 2
+    # would bind to `hidden`, and the signature check below would still pass
+    params = list(inspect.signature(cccpde.CccpDeModel).parameters)
+    assert params[:3] == ["dim", "n_classes", "hidden"]
 
 
 def cccpde_bindings(tree: ast.Module) -> dict:
