@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
-from .bayes import BetaPosterior, base_rate_prior, posterior_reports
+from .bayes import base_rate_prior, posterior_reports
 from .data import (
     PRESETS,
     Dataset,
@@ -130,7 +130,6 @@ _TRAIN_SETTINGS = {
     "learning_rate": (1e-3, float), "hidden": (64, int),
     "base_depth": (3, int), "head_depth": (1, int), "disc_blocks": (3, int),
     "ffnn_blocks": (4, int), "dropout": (0.05, float),
-    "flow_weight": (1.0, float), "disc_weight": (1.0, float),
     "standardize": (True, bool),
 }
 
@@ -147,9 +146,7 @@ def _cmd_train(args) -> int:
     else:
         model = CccpDeModel(dataset.dim, 2, cfg["hidden"],
                             cfg["base_depth"], cfg["head_depth"],
-                            cfg["disc_blocks"], cfg["dropout"], init_rng,
-                            flow_weight=cfg["flow_weight"],
-                            disc_weight=cfg["disc_weight"])
+                            cfg["disc_blocks"], cfg["dropout"], init_rng)
     if cfg["standardize"]:
         model.standardizer = Standardizer.fit(dataset.features)
     trace = train(model, dataset, config, Rng(derive_seed(cfg["seed"], "shuffle")))
@@ -167,8 +164,7 @@ def _cmd_train(args) -> int:
 
 _EVAL_SETTINGS = {
     "threshold": (0.1, float), "mass": (0.95, float),
-    "prior_a": (1.0, float), "prior_b": (1.0, float),
-    "base_rate": (None, float), "prior_strength": (2.0, float),
+    "base_rate": (0.5, float), "prior_strength": (2.0, float),
     "volume": (None, float),
 }
 
@@ -200,10 +196,7 @@ def _cmd_eval(args) -> int:
     _, ratio_scores = ev.ratio_test_classify(log_d, log_priors)
 
     volume = cfg["volume"] if cfg["volume"] is not None else _default_volume(model)
-    if cfg["base_rate"] is not None:
-        prior = base_rate_prior(cfg["base_rate"], cfg["prior_strength"])
-    else:
-        prior = BetaPosterior(cfg["prior_a"], cfg["prior_b"])
+    prior = base_rate_prior(cfg["base_rate"], cfg["prior_strength"])
     batch = posterior_reports(log_d, model.class_counts, prior, volume,
                               cfg["threshold"], cfg["mass"])
 
@@ -218,14 +211,18 @@ def _cmd_eval(args) -> int:
 
     curves, retained, rejected = ev.filtered_roc_comparison(
         dataset.labels, scorers, batch)
-    if any(filtered is None for _, filtered in curves.values()):
+    if any(full is None for full, _ in curves.values()):
+        print("warning: test set lacks a class; writing no ROC curves",
+              file=sys.stderr)
+    elif any(filtered is None for _, filtered in curves.values()):
         print("warning: retained set lacks a class; emitting unfiltered "
               "curves only (raise --volume or --threshold)", file=sys.stderr)
     suffix = {"sigmoid": "", "ratio": "_ratio", "ffnn": "_ffnn"}
     ev.write_reports_csv(out / "reports.csv", dataset.labels, ffnn_scores,
                          sigmoid_scores, batch)
     for name, (full, filtered) in curves.items():
-        ev.write_roc_csv(full, out / f"roc{suffix[name]}.csv")
+        if full is not None:
+            ev.write_roc_csv(full, out / f"roc{suffix[name]}.csv")
         if filtered is not None:
             ev.write_roc_csv(filtered, out / f"roc{suffix[name]}_filtered.csv")
     _write_config_log(out / "config_used.txt", cfg, {
@@ -236,7 +233,7 @@ def _cmd_eval(args) -> int:
     for name, (full, filtered) in sorted(curves.items()):
         if filtered is not None:
             print(f"{name}: auc {full.auc:.4f} -> retained auc {filtered.auc:.4f}")
-        else:
+        elif full is not None:
             print(f"{name}: auc {full.auc:.4f}")
     print(f"retained {retained.size}, rejected {rejected.size} "
           f"of {dataset.n_rows} (threshold {cfg['threshold']})")

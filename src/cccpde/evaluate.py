@@ -101,15 +101,17 @@ def filter_by_uncertainty(batch: PosteriorBatch) -> tuple[np.ndarray, np.ndarray
 def filtered_roc_comparison(labels: np.ndarray,
                             scores_by_scorer: dict[str, np.ndarray],
                             batch: PosteriorBatch,
-                            ) -> tuple[dict[str, tuple[RocCurve, RocCurve | None]],
+                            ) -> tuple[dict[str, tuple[RocCurve | None,
+                                                       RocCurve | None]],
                                        np.ndarray, np.ndarray]:
     """Full vs retained ROC per scorer, under one shared retained set.
 
     The retained set comes from the abstain flags alone, so every scorer
-    is filtered identically. The retained curve is None when the retained
-    set lacks a class.
+    is filtered identically. A row set without both classes has no curve:
+    the full curve is None when the labels lack a class, the retained
+    curve when the retained set does.
     """
-    labels = np.asarray(labels)
+    labels = binary_labels(labels)
     n = labels.shape[0]
     if len(batch) != n:
         raise ShapeError(f"{len(batch)} reports for {n} labels")
@@ -120,12 +122,13 @@ def filtered_roc_comparison(labels: np.ndarray,
                 f"for {n} labels")
     retained, rejected = filter_by_uncertainty(batch)
     kept = labels[retained]
-    both = bool(np.any(kept == 0) and np.any(kept == 1))
+    full_both, kept_both = (bool(np.any(rows == 0) and np.any(rows == 1))
+                            for rows in (labels, kept))
     curves = {}
     for name, scores in scores_by_scorer.items():
         scores = np.asarray(scores, dtype=np.float64)
-        curves[name] = (roc_auc(scores, labels),
-                        roc_auc(scores[retained], kept) if both else None)
+        curves[name] = (roc_auc(scores, labels) if full_both else None,
+                        roc_auc(scores[retained], kept) if kept_both else None)
     return curves, retained, rejected
 
 

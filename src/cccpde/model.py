@@ -5,8 +5,7 @@ class-conditional coupling-flow estimator (shared coupling base, one
 coupling head per class, plus an auxiliary sigmoid head), and a small
 heteroscedastic Gaussian regressor. Training is plain minibatch Adam over
 seed-shuffled epochs; the per-epoch loss trace is evaluated in inference
-mode on the full training set, so a reloaded model reproduces it exactly
-given the joint model's loss weights (not stored; 1.0 after loading).
+mode on the full training set, so a reloaded model reproduces it exactly.
 
 Models may carry a Standardizer; public densities and scores then accept
 raw feature space and include the change-of-scale correction, while
@@ -39,7 +38,8 @@ from .serialize import read_state, write_state
 class TrainConfig:
     """Optimizer settings of a training run; desk-scale defaults.
 
-    Network sizes, dropout and loss weights are model constructor arguments.
+    Network sizes and dropout are model constructor arguments; each model
+    owns its loss. The learning rate must be positive and finite.
     """
 
     epochs: int = 30
@@ -51,8 +51,9 @@ class TrainConfig:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise DomainError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise DomainError(f"learning rate must be positive and finite, "
+                              f"got {self.learning_rate}")
 
 
 def _check_network(sizes_ok: bool, dropout_rate: float) -> None:
@@ -119,24 +120,21 @@ class CccpDeModel:
     Class-k log-density composes the base and head-k forward log-dets with
     the unit-Gaussian latent at the head output. The sigmoid head reads the
     base output through dense blocks; its loss propagates into the base.
-    The detector is binary: classes 0 and 1. `n_classes` keeps its
-    positional slot and its model-file key, and accepts only 2.
+    The training loss is the unweighted sum of the mean flow NLL and the
+    sigmoid head's BCE. The detector is binary: classes 0 and 1.
+    `n_classes` keeps its positional slot and its model-file key, and
+    accepts only 2.
     """
 
     def __init__(self, dim: int, n_classes: int = 2, hidden: int = 64,
                  base_depth: int = 3, head_depth: int = 1,
                  disc_blocks: int = 3, dropout_rate: float = 0.05,
-                 rng: Rng | None = None, *, flow_weight: float = 1.0,
-                 disc_weight: float = 1.0):
+                 rng: Rng | None = None):
         if n_classes != 2:
             raise DomainError(f"the detector is binary: n_classes must be 2, "
                               f"got {n_classes}")
         _check_network(min(hidden, head_depth, disc_blocks) >= 1
                        and base_depth >= 0, dropout_rate)
-        if flow_weight < 0 or disc_weight < 0:
-            raise DomainError("loss weights must be nonnegative")
-        self.flow_weight = flow_weight
-        self.disc_weight = disc_weight
         self.dim = dim
         self.hidden = hidden
         self.base = FlowStack.build(dim, base_depth, hidden, rng)
@@ -191,7 +189,7 @@ class CccpDeModel:
         n = xs.shape[0]
         base_out, log_det_base = self.base.forward(xs)
         g_base_out = np.zeros_like(base_out)
-        w_flow = self.flow_weight / n
+        w_flow = 1.0 / n
         flow_nll = 0.0
         for k, head in enumerate(self.heads):
             rows = np.nonzero(labels == k)[0]
@@ -202,10 +200,9 @@ class CccpDeModel:
             flow_nll -= float(log_p.sum())
             g_base_out[rows] += head.backward(w_flow * z,
                                               np.full(rows.size, -w_flow))
-        disc_loss, g_disc = self.disc.loss_and_grads(
-            base_out, labels, rng, weight=self.disc_weight)
+        disc_loss, g_disc = self.disc.loss_and_grads(base_out, labels, rng)
         self.base.backward(g_base_out + g_disc, np.full(n, -w_flow))
-        return self.flow_weight * flow_nll / n + self.disc_weight * disc_loss
+        return flow_nll / n + disc_loss
 
     def eval_loss(self, x: np.ndarray, labels: np.ndarray) -> float:
         labels = binary_labels(labels)
@@ -221,7 +218,7 @@ class CccpDeModel:
             log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
             flow_nll -= float(log_p.sum())
         disc_loss, _ = bce_with_logits(self.disc.logits(base_out), labels)
-        return self.flow_weight * flow_nll / n + self.disc_weight * disc_loss
+        return flow_nll / n + disc_loss
 
     def params(self) -> list[Param]:
         out = self.base.params()

@@ -372,16 +372,15 @@ class SigmoidHead:
         """Per-row probabilities, inference mode."""
         return activation("sigmoid", self.logits(x))
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, rng: Rng | None,
-                       weight: float = 1.0) -> tuple[float, np.ndarray]:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
+                       rng: Rng | None) -> tuple[float, np.ndarray]:
         """Training-mode BCE against labels y; accumulates the parameter
-        gradients of weight * BCE and returns (BCE, gradient of weight * BCE
-        wrt x)."""
+        gradients of the BCE and returns (BCE, its gradient wrt x)."""
         h = x
         for block in self.blocks:
             h = block.forward(h, rng, training=True)
         loss, grad = bce_with_logits(self.out.forward(h).ravel(), y)
-        g = self.out.backward((weight * grad)[:, None])
+        g = self.out.backward(grad[:, None])
         for block in reversed(self.blocks):
             g = block.backward(g)
         return loss, g

@@ -400,7 +400,7 @@ def reference_cccpde_loss_and_grads(model, x, labels, rng):
     n = xs.shape[0]
     base_out, log_det_base = model.base.forward(xs)
     g_base_out = np.zeros_like(base_out)
-    w_flow = model.flow_weight / n
+    w_flow = 1.0 / n
     flow_nll = 0.0
     for k in np.unique(labels):
         rows = np.nonzero(labels == k)[0]
@@ -410,10 +410,9 @@ def reference_cccpde_loss_and_grads(model, x, labels, rng):
         flow_nll -= float(log_p.sum())
         g_base_out[rows] += head.backward(w_flow * z,
                                           np.full(rows.size, -w_flow))
-    disc_loss, g_disc = model.disc.loss_and_grads(
-        base_out, labels, rng, weight=model.disc_weight)
+    disc_loss, g_disc = model.disc.loss_and_grads(base_out, labels, rng)
     model.base.backward(g_base_out + g_disc, np.full(n, -w_flow))
-    return model.flow_weight * flow_nll / n + model.disc_weight * disc_loss
+    return flow_nll / n + disc_loss
 
 
 def one_pass_stack_call(stack, x):

@@ -1,11 +1,14 @@
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cccpde.cli as cli
+import cccpde.evaluate as ev
 from cccpde.bayes import BetaPosterior, posterior_reports
 from cccpde.cli import build_parser, main
 from cccpde.data import load_csv, regression_true_mean
@@ -155,14 +158,36 @@ class TestTrain:
         ("--head-depth", 0, "network sizes must be positive"),
         ("--disc-blocks", 0, "network sizes must be positive"),
         ("--dropout", 1.0, "dropout must lie in"),
-        ("--flow-weight", -1, "loss weights must be nonnegative"),
-    ], ids=["hidden", "head-depth", "disc-blocks", "dropout", "flow-weight"])
+    ], ids=["hidden", "head-depth", "disc-blocks", "dropout"])
     def test_invalid_size_is_runtime_error(self, toy_run, tmp_path, capsys,
                                            flag, value, message):
         assert run("train", "--model", "cccpde",
                    "--data", toy_run["data"] / "train.csv",
                    "--out", tmp_path / "m.bin", flag, value) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["cccpde", "ffnn", "glm-demo"])
+    def test_non_finite_learning_rate_is_runtime_error(
+            self, toy_run, tmp_path, capsys, command, rate):
+        if command == "glm-demo":
+            args = ["glm-demo", "--out", tmp_path / "glm", "--epochs", 1]
+        else:
+            args = ["train", "--model", command, "--data",
+                    toy_run["data"] / "train.csv", "--out", tmp_path / "m.bin",
+                    "--epochs", 1, "--hidden", 4]
+        assert run(*args, "--learning-rate", rate) == 1
+        assert "learning rate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_loss_weights_are_usage_errors(self, toy_run, tmp_path):
+        # the joint loss is the fixed sum flow NLL + BCE
+        for flag in ("--flow-weight", "--disc-weight"):
+            with pytest.raises(SystemExit) as exc:
+                run("train", "--model", "cccpde", "--data",
+                    toy_run["data"] / "train.csv", "--out", tmp_path / "m.bin",
+                    flag, 1)
+            assert exc.value.code == 2
 
 
 class TestEval:
@@ -199,6 +224,61 @@ class TestEval:
         assert "retained 0, rejected 600 of 600" in captured.out
         assert (out / "roc.csv").exists() and (out / "roc_ratio.csv").exists()
         assert not list(out.glob("*_filtered.csv"))
+
+    def test_one_class_test_set_writes_reports(self, tmp_path, capsys):
+        # the openset preset's held-out rows are all class 0
+        data = tmp_path / "os"
+        assert run("gen-data", "--preset", "openset", "--out", data,
+                   "--train-size", 200, "--test-size", 50) == 0
+        model = tmp_path / "m.bin"
+        assert run("train", "--model", "cccpde", "--data", data / "train.csv",
+                   "--out", model, "--epochs", 2, "--hidden", 8) == 0
+        heldout = load_csv(data / "heldout.csv")
+        assert set(heldout.labels.tolist()) == {0}
+        capsys.readouterr()
+        out = tmp_path / "e"
+        assert run("eval", "--model", model, "--data", data / "heldout.csv",
+                   "--out", out, "--volume", 0.6) == 0
+        captured = capsys.readouterr()
+        assert "warning: test set lacks a class" in captured.err
+        assert "auc" not in captured.out
+        assert f"of {heldout.n_rows} (threshold 0.1)" in captured.out
+        assert sorted(p.name for p in out.iterdir()) \
+            == ["config_used.txt", "reports.csv"]
+        rows = (out / "reports.csv").read_text().splitlines()[1:]
+        assert len(rows) == heldout.n_rows
+
+    def test_base_rate_prior_matches_library_path(self, toy_run, tmp_path):
+        out = tmp_path / "e"
+        assert run("eval", "--model", toy_run["cc"],
+                   "--data", toy_run["data"] / "test.csv", "--out", out,
+                   "--volume", 8.0, "--base-rate", 0.25,
+                   "--prior-strength", 4) == 0
+        model = load_model(toy_run["cc"])
+        ds = load_csv(toy_run["data"] / "test.csv")
+        log_d, sigmoid = model.forward(ds.features)
+        batch = posterior_reports(log_d, model.class_counts,
+                                  BetaPosterior(1.0, 3.0), 8.0)
+        ev.write_reports_csv(tmp_path / "ref.csv", ds.labels,
+                             np.full(ds.n_rows, np.nan), sigmoid, batch)
+        assert (out / "reports.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+        assert "prior = Beta(1.0, 3.0)\n" in (out / "config_used.txt").read_text()
+        # the default base rate and strength give the uniform prior
+        default_log = (toy_run["eval"] / "config_used.txt").read_text()
+        assert "prior = Beta(1.0, 1.0)\n" in default_log
+
+    def test_prior_shape_keys_are_gone(self, toy_run, tmp_path, capsys):
+        args = ["eval", "--model", toy_run["cc"],
+                "--data", toy_run["data"] / "test.csv", "--out", tmp_path / "e"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prior_a = 2\n")
+        assert run(*args, "--config", cfg) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+        for flag in ("--prior-a", "--prior-b"):
+            with pytest.raises(SystemExit) as exc:
+                run(*args, flag, 1)
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["eval", "sample", "density-grid"])
     def test_baseline_model_is_runtime_error(self, toy_run, tmp_path, capsys,
@@ -379,13 +459,12 @@ class TestParser:
         expected = {
             "gen-data": ["--preset", "--seed", "--test-size", "--train-size"],
             "train": ["--base-depth", "--batch-size", "--data",
-                      "--disc-blocks", "--disc-weight", "--dropout",
-                      "--epochs", "--ffnn-blocks", "--flow-weight",
-                      "--head-depth", "--hidden", "--learning-rate",
-                      "--model", "--no-standardize", "--seed"],
+                      "--disc-blocks", "--dropout", "--epochs",
+                      "--ffnn-blocks", "--head-depth", "--hidden",
+                      "--learning-rate", "--model", "--no-standardize",
+                      "--seed"],
             "eval": ["--base-rate", "--data", "--ffnn", "--mass", "--model",
-                     "--prior-a", "--prior-b", "--prior-strength",
-                     "--threshold", "--volume"],
+                     "--prior-strength", "--threshold", "--volume"],
             "sample": ["--class-index", "--count", "--model", "--seed"],
             "density-grid": ["--bounds", "--model", "--resolution"],
             "glm-demo": ["--batch-size", "--epochs", "--grid-size",
@@ -398,6 +477,18 @@ class TestParser:
             options = sorted(s for action in subparsers[name]._actions
                              for s in action.option_strings)
             assert options == sorted(common + own), name
+
+    def test_readme_flags_are_cli_options(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md"
+                  ).read_text(encoding="utf-8")
+        # pip's flag in the install instructions is not ours
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) \
+            - {"--no-build-isolation"}
+        assert {"--model", "--volume", "--base-rate"} <= flags
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        options = {s for p in subparsers.values() for action in p._actions
+                   for s in action.option_strings}
+        assert sorted(flags - options) == []
 
 
 class TestProcessEntry:

@@ -226,6 +226,16 @@ class TestFilteredComparison:
             assert filtered is None
             assert full.auc == ev.roc_auc(scores[name], labels).auc
 
+    def test_labels_without_a_class_give_no_curves(self):
+        batch = make_batch([(0.4, 0.42), (0.1, 0.9), (0.5, 0.51)])
+        curves, retained, rejected = ev.filtered_roc_comparison(
+            np.zeros(3, dtype=int), {"a": np.array([0.1, 0.9, 0.2])}, batch)
+        assert curves == {"a": (None, None)}
+        assert retained.tolist() == [0, 2] and rejected.tolist() == [1]
+        with pytest.raises(DomainError, match="labels must be 0 or 1"):
+            ev.filtered_roc_comparison(np.array([0, 2, 0]),
+                                       {"a": np.zeros(3)}, batch)
+
 
 class TestInSetScore:
     def test_monotone_under_head_addition(self, separable_bundle):

@@ -279,23 +279,17 @@ class TestBlockedInference:
 
 class TestJointLoss:
     def test_weight_degeneracy(self):
+        # the joint loss is the unweighted sum: mean flow NLL plus BCE
         model = small_model(seed=12)
         x = Rng(13).normals(24).reshape(6, 4)
         y = np.array([0, 1, 1, 0, 1, 0])
-        model.flow_weight, model.disc_weight = 1.0, 0.0
-        flow_only = model.eval_loss(x, y)
-        model.flow_weight, model.disc_weight = 0.0, 1.0
-        disc_only = model.eval_loss(x, y)
         log_d = model.log_densities(x)
         expected_nll = float(-log_d[np.arange(6), y].mean())
-        assert flow_only == pytest.approx(expected_nll, rel=1e-12)
         logits = model.disc.logits(model.base(x)[0])
         assert np.array_equal(model.forward(x)[1], activation("sigmoid", logits))
         expected_bce = bce_with_logits(logits, y.astype(float))[0]
-        assert disc_only == pytest.approx(expected_bce, rel=1e-12)
-        model.flow_weight, model.disc_weight = 1.0, 1.0
-        both = model.eval_loss(x, y)
-        assert both == pytest.approx(flow_only + disc_only, rel=1e-12)
+        assert model.eval_loss(x, y) == pytest.approx(expected_nll + expected_bce,
+                                                      rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
         model = small_model(seed=14)
@@ -310,28 +304,6 @@ class TestJointLoss:
 
         assert worst_param_grad_err(model.params(), run_backward,
                                     eval_loss, h=1e-6) < 1e-4
-
-    def test_weighted_gradients_match_finite_differences(self):
-        model = CccpDeModel(4, 2, hidden=6, base_depth=2, disc_blocks=2,
-                            dropout_rate=0.0, rng=Rng(14), flow_weight=0.3,
-                            disc_weight=2.5)
-        x = Rng(15).normals(32).reshape(8, 4)
-        y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
-        assert worst_param_grad_err(
-            model.params(), lambda: model.loss_and_grads(x, y),
-            lambda: model.eval_loss(x, y), h=1e-6) < 1e-4
-
-    def test_weights_are_checked_and_not_stored(self, tmp_path):
-        with pytest.raises(DomainError,
-                           match="loss weights must be nonnegative"):
-            CccpDeModel(2, disc_weight=-1.0)
-        plain, weighted = tmp_path / "plain.bin", tmp_path / "weighted.bin"
-        save_model(CccpDeModel(2, rng=Rng(16)), plain)
-        save_model(CccpDeModel(2, rng=Rng(16), flow_weight=0.5,
-                               disc_weight=2.0), weighted)
-        assert plain.read_bytes() == weighted.read_bytes()
-        loaded = load_model(weighted)
-        assert (loaded.flow_weight, loaded.disc_weight) == (1.0, 1.0)
 
     def test_label_range_validated(self):
         model = small_model()
@@ -375,6 +347,12 @@ class TestTraining:
     def test_epochs_validated(self):
         with pytest.raises(DomainError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, np.nan, np.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(DomainError, match="learning rate must be positive "
+                                              "and finite"):
+            TrainConfig(learning_rate=rate)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: FfnnModel(2, n_blocks=0), "network sizes must be positive"),

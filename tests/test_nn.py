@@ -602,17 +602,16 @@ class TestSigmoidHead:
         head = SigmoidHead(3, 5, 2, 0.0, Rng(68))
         x = Rng(69).normals(18).reshape(6, 3)
         y = np.array([0, 1, 1, 0, 1, 0])
-        weight = 0.7
 
         def loss(v=x):
-            return weight * bce_with_logits(head.logits(v), y)[0]
+            return bce_with_logits(head.logits(v), y)[0]
 
         assert worst_param_grad_err(
             head.params(),
-            lambda: head.loss_and_grads(x, y, None, weight),
+            lambda: head.loss_and_grads(x, y, None),
             loss) < 1e-5
         fd = finite_diff_grad(loss, x.copy(), 1e-6)
-        _, g = head.loss_and_grads(x, y, None, weight)
+        _, g = head.loss_and_grads(x, y, None)
         assert rel_err(fd, g) < 1e-5
 
     def test_saturated_logits_match_softplus_finite_differences(self):
@@ -626,17 +625,16 @@ class TestSigmoidHead:
         assert np.abs(logits).min() >= 20.0 and (logits > 0).any() \
             and (logits < 0).any()
         y = (logits < 0).astype(float)
-        weight = 0.7
 
         def loss(v=x):
-            return weight * softplus_bce(head.logits(v), y)
+            return softplus_bce(head.logits(v), y)
 
         assert worst_param_grad_err(
             head.params(),
-            lambda: head.loss_and_grads(x, y, None, weight),
+            lambda: head.loss_and_grads(x, y, None),
             loss) < 1e-5
         fd = finite_diff_grad(loss, x.copy(), 1e-6)
-        _, g = head.loss_and_grads(x, y, None, weight)
+        _, g = head.loss_and_grads(x, y, None)
         assert rel_err(fd, g) < 1e-5
 
 

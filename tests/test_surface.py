@@ -69,6 +69,16 @@ def test_cccpde_model_second_positional_is_n_classes():
     assert params[:3] == ["dim", "n_classes", "hidden"]
 
 
+def test_joint_loss_takes_no_weights():
+    # the loss is the fixed sum flow NLL + BCE; REMOVED above sees only
+    # class attributes, not parameters
+    params = inspect.signature(cccpde.CccpDeModel).parameters
+    assert not {"flow_weight", "disc_weight"} & set(params)
+    assert len(params) == 8
+    loss = inspect.signature(cccpde.SigmoidHead.loss_and_grads).parameters
+    assert list(loss) == ["self", "x", "y", "rng"]
+
+
 def cccpde_bindings(tree: ast.Module) -> dict:
     """Local name -> the cccpde object it is bound to by the file's imports."""
     bound = {}
