@@ -6,11 +6,12 @@ artifacts, generative sampling, density-grid export, and the 1-D
 heteroscedastic regression demo.
 
 Each subcommand declares its settings once, in a table of
-`key: (default, type)`; every key is both a `--key-name` flag (a bool
-setting, on by default, is turned off by `--no-key-name`) and a config
-key. Settings resolve in three layers: built-in defaults, then a flat
-`key = value` config file (`#` starts a comment), then explicit flags.
-Every run writes its fully resolved configuration next to its outputs.
+`key: (default, type)`, every type int or float; every key is both a
+`--key-name` flag and a config key. Settings resolve in three layers:
+built-in defaults, then a flat `key = value` config file (`#` starts a
+comment), then explicit flags. Every run writes its fully resolved
+configuration next to its outputs, and makes no output path until its
+work is done, so a failed run leaves none behind.
 All randomness flows from one root seed, split per subsystem by fixed
 labels (data/init/shuffle/sampling). Exit codes: 0 success, 2 usage
 error, 1 runtime error.
@@ -29,7 +30,6 @@ from .bayes import base_rate_prior, posterior_reports
 from .data import (
     PRESETS,
     Dataset,
-    Standardizer,
     gen_regression_1d,
     load_csv,
     preset_datasets,
@@ -49,9 +49,6 @@ from .model import (
 )
 from .numerics import Rng, derive_seed
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True,
-                 "false": False, "0": False, "no": False}
-
 
 def _parse_config_file(path: str) -> dict[str, str]:
     cfg = {}
@@ -67,10 +64,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _convert(key: str, value: str, kind):
-    if kind is bool:
-        if value.lower() not in _BOOL_STRINGS:
-            raise DomainError(f"config key {key!r} needs true/false, got {value!r}")
-        return _BOOL_STRINGS[value.lower()]
     try:
         return kind(value)
     except ValueError:
@@ -113,10 +106,10 @@ _GEN_SETTINGS = {"seed": (0, int), "train_size": (4000, int),
 
 def _cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     datasets = preset_datasets(args.preset, cfg["seed"],
                                cfg["train_size"], cfg["test_size"])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, ds in datasets.items():
         save_csv(ds, out / f"{name}.csv")
     _write_config_log(out / "config_used.txt", cfg,
@@ -130,7 +123,6 @@ _TRAIN_SETTINGS = {
     "learning_rate": (1e-3, float), "hidden": (64, int),
     "base_depth": (3, int), "head_depth": (1, int), "disc_blocks": (3, int),
     "ffnn_blocks": (4, int), "dropout": (0.05, float),
-    "standardize": (True, bool),
 }
 
 
@@ -147,8 +139,6 @@ def _cmd_train(args) -> int:
         model = CccpDeModel(dataset.dim, 2, cfg["hidden"],
                             cfg["base_depth"], cfg["head_depth"],
                             cfg["disc_blocks"], cfg["dropout"], init_rng)
-    if cfg["standardize"]:
-        model.standardizer = Standardizer.fit(dataset.features)
     trace = train(model, dataset, config, Rng(derive_seed(cfg["seed"], "shuffle")))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -171,9 +161,7 @@ _EVAL_SETTINGS = {
 
 def _default_volume(model: CccpDeModel) -> float:
     # a (0.05 * per-dimension training std) hypercube
-    if model.standardizer is not None:
-        return float(np.prod(0.05 * model.standardizer.std))
-    return 0.05 ** model.dim
+    return float(np.prod(0.05 * model.standardizer.std))
 
 
 def _load_density_model(path) -> CccpDeModel:
@@ -187,8 +175,7 @@ def _cmd_eval(args) -> int:
     cfg = _resolve(args)
     model = _load_density_model(args.model)
     dataset = load_csv(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    prior = base_rate_prior(cfg["base_rate"], cfg["prior_strength"])
 
     log_d, sigmoid_scores = model.forward(dataset.features)
     with np.errstate(divide="ignore"):
@@ -196,7 +183,6 @@ def _cmd_eval(args) -> int:
     _, ratio_scores = ev.ratio_test_classify(log_d, log_priors)
 
     volume = cfg["volume"] if cfg["volume"] is not None else _default_volume(model)
-    prior = base_rate_prior(cfg["base_rate"], cfg["prior_strength"])
     batch = posterior_reports(log_d, model.class_counts, prior, volume,
                               cfg["threshold"], cfg["mass"])
 
@@ -217,6 +203,8 @@ def _cmd_eval(args) -> int:
     elif any(filtered is None for _, filtered in curves.values()):
         print("warning: retained set lacks a class; emitting unfiltered "
               "curves only (raise --volume or --threshold)", file=sys.stderr)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     suffix = {"sigmoid": "", "ratio": "_ratio", "ffnn": "_ffnn"}
     ev.write_reports_csv(out / "reports.csv", dataset.labels, ffnn_scores,
                          sigmoid_scores, batch)
@@ -267,12 +255,10 @@ def _cmd_density_grid(args) -> int:
     model = _load_density_model(args.model)
     if args.bounds is not None:
         bounds = tuple(args.bounds)
-    elif model.standardizer is not None:
+    else:
         mean, std = model.standardizer.mean, model.standardizer.std
         bounds = (mean[0] - 6 * std[0], mean[0] + 6 * std[0],
                   mean[1] - 6 * std[1], mean[1] + 6 * std[1])
-    else:
-        bounds = (-6.0, 6.0, -6.0, 6.0)
     xs, ys, _, log_d, total = ev.density_grid(model, bounds, cfg["resolution"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -319,12 +305,7 @@ def _add_settings(p, func, settings: dict) -> None:
     """Add `--config` and one flag per settings key; `func` runs the command."""
     p.add_argument("--config", help="key = value config file")
     for key, (_, kind) in settings.items():
-        flag = key.replace("_", "-")
-        if kind is bool:
-            p.add_argument(f"--no-{flag}", action="store_const", const=False,
-                           dest=key)
-        else:
-            p.add_argument(f"--{flag}", type=kind, dest=key)
+        p.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
     p.set_defaults(func=func, settings=settings)
 
 

@@ -7,9 +7,10 @@ heteroscedastic Gaussian regressor. Training is plain minibatch Adam over
 seed-shuffled epochs; the per-epoch loss trace is evaluated in inference
 mode on the full training set, so a reloaded model reproduces it exactly.
 
-Models may carry a Standardizer; public densities and scores then accept
-raw feature space and include the change-of-scale correction, while
-training and traces run in standardized model space.
+Every model carries a Standardizer, the identity until `train` fits it
+on the training set. Public densities and scores accept raw feature space
+and include the change-of-scale correction; the networks see only the
+standardized model space.
 """
 
 from __future__ import annotations
@@ -74,23 +75,19 @@ class FfnnModel:
         self.n_blocks = n_blocks
         self.dropout_rate = dropout_rate
         self.head = SigmoidHead(dim, hidden, n_blocks, dropout_rate, rng)
-        self.standardizer: Standardizer | None = None
-
-    def _model_space(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self.standardizer.apply(x) if self.standardizer else x
+        self.standardizer = Standardizer(np.zeros(dim), np.ones(dim))
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Positive-class probabilities, deterministic inference pass."""
-        return self.head(self._model_space(x))
+        return self.head(self.standardizer.apply(x))
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
                        rng: Rng | None = None) -> float:
-        return self.head.loss_and_grads(self._model_space(x),
+        return self.head.loss_and_grads(self.standardizer.apply(x),
                                         binary_labels(y), rng)[0]
 
     def eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        return bce_with_logits(self.head.logits(self._model_space(x)),
+        return bce_with_logits(self.head.logits(self.standardizer.apply(x)),
                                binary_labels(y))[0]
 
     def params(self) -> list[Param]:
@@ -105,7 +102,7 @@ class FfnnModel:
         meta = {
             "dim": self.dim, "hidden": self.hidden, "n_blocks": self.n_blocks,
             "dropout": self.dropout_rate,
-            "has_standardizer": 1.0 if self.standardizer else 0.0,
+            "has_standardizer": 1.0,
         }
         return meta, self.state_arrays()
 
@@ -144,25 +141,19 @@ class CccpDeModel:
         self.dropout_rate = dropout_rate
         self.class_counts = np.zeros(2)
         self.class_priors = np.full(2, 0.5)
-        self.standardizer: Standardizer | None = None
+        self.standardizer = Standardizer(np.zeros(dim), np.ones(dim))
 
     # -- forward passes ----------------------------------------------------
 
-    def _model_space(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        x = np.asarray(x, dtype=np.float64)
-        if self.standardizer is None:
-            return x, 0.0
-        return self.standardizer.apply(x), self.standardizer.log_volume_scale
-
     def _flows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-class log-densities (n, 2) and the base output; no disc head."""
-        xs, correction = self._model_space(x)
+        xs = self.standardizer.apply(x)
         base_out, log_det_base = self.base(xs)
         log_d = np.empty((xs.shape[0], 2))
         for k, head in enumerate(self.heads):
             z, log_det_head = head(base_out)
             log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
-        return log_d + correction, base_out
+        return log_d + self.standardizer.log_volume_scale, base_out
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-class log-densities (n, 2) and sigmoid scores (n,)."""
@@ -178,14 +169,14 @@ class CccpDeModel:
         if class_index not in (0, 1):
             raise DomainError(f"class index must be 0 or 1, got {class_index}")
         xs = self.base.inverse(self.heads[class_index].sample(rng, n))
-        return self.standardizer.inverse(xs) if self.standardizer else xs
+        return self.standardizer.inverse(xs)
 
     # -- training ----------------------------------------------------------
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
                        rng: Rng | None = None) -> float:
         labels = binary_labels(labels)
-        xs, _ = self._model_space(x)
+        xs = self.standardizer.apply(x)
         n = xs.shape[0]
         base_out, log_det_base = self.base.forward(xs)
         g_base_out = np.zeros_like(base_out)
@@ -206,7 +197,7 @@ class CccpDeModel:
 
     def eval_loss(self, x: np.ndarray, labels: np.ndarray) -> float:
         labels = binary_labels(labels)
-        xs, _ = self._model_space(x)
+        xs = self.standardizer.apply(x)
         n = xs.shape[0]
         base_out, log_det_base = self.base(xs)
         flow_nll = 0.0
@@ -235,8 +226,8 @@ class CccpDeModel:
         out += _flow_stack_arrays("base", self.base)
         for k, head in enumerate(self.heads):
             out += _flow_stack_arrays(f"head{k}", head)
-        out += _sigmoid_head_arrays("disc", "disc/out", self.disc)
-        return out + _standardizer_arrays(self.standardizer)
+        return (out + _sigmoid_head_arrays("disc", "disc/out", self.disc)
+                + _standardizer_arrays(self.standardizer))
 
     def to_state(self) -> tuple[dict, list]:
         meta = {
@@ -245,7 +236,7 @@ class CccpDeModel:
             "head_depth": len(self.heads[0].layers),
             "disc_blocks": len(self.disc.blocks),
             "dropout": self.dropout_rate,
-            "has_standardizer": 1.0 if self.standardizer else 0.0,
+            "has_standardizer": 1.0,
         }
         return meta, self.state_arrays()
 
@@ -296,8 +287,10 @@ def train(model, dataset: Dataset, config: TrainConfig,
           rng: Rng) -> list[float]:
     """Minibatch Adam over shuffled epochs; returns the per-epoch loss trace.
 
-    Trace entries are inference-mode losses on the full training set, so
-    they are reproducible from a reloaded model.
+    The model's standardizer, and a density estimator's class counts and
+    priors, are first set from the training set. Trace entries are
+    inference-mode losses on the full training set, so they are
+    reproducible from a reloaded model.
     """
     if dataset.n_rows == 0:
         raise DomainError("cannot train on an empty dataset")
@@ -309,6 +302,7 @@ def train(model, dataset: Dataset, config: TrainConfig,
     if not counts.all():
         raise DomainError(
             f"training set has no rows of class {int(np.argmin(counts))}")
+    model.standardizer = Standardizer.fit(features)
     if isinstance(model, CccpDeModel):
         model.class_counts = counts
         model.class_priors = counts / counts.sum()
@@ -384,14 +378,17 @@ def _build(cls, meta: dict, arrays: list, *sizes: str):
         model = cls(*(int(meta[key]) for key in sizes), meta["dropout"])
     except DomainError as exc:
         raise ModelFormatError(f"model file metadata: {exc}") from None
-    if meta.get("has_standardizer"):
-        model.standardizer = Standardizer(np.zeros(model.dim), np.ones(model.dim))
+    live_arrays = model.state_arrays()
+    if not meta.get("has_standardizer"):
+        # a file saved without a standardizer loads with the identity one
+        live_arrays = [(name, live) for name, live in live_arrays
+                       if not name.startswith("standardizer/")]
     stored = {}
     for name, arr in arrays:
         if name in stored:
             raise ModelFormatError(f"duplicate array {name!r}")
         stored[name] = arr
-    for name, live in model.state_arrays():
+    for name, live in live_arrays:
         if name not in stored:
             raise ModelFormatError(f"model file is missing array {name!r}")
         arr = stored.pop(name)
@@ -439,8 +436,6 @@ def _sigmoid_head_arrays(block_prefix: str, out_prefix: str,
                   (f"{out_prefix}/bias", head.out.bias.value)]
 
 
-def _standardizer_arrays(standardizer: Standardizer | None) -> list:
-    if standardizer is None:
-        return []
+def _standardizer_arrays(standardizer: Standardizer) -> list:
     return [("standardizer/mean", standardizer.mean),
             ("standardizer/std", standardizer.std)]

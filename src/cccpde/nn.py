@@ -201,10 +201,11 @@ class LayerNorm:
 
     @staticmethod
     def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)  # population variance
+        centered = x - x.mean(axis=1, keepdims=True)
+        # population variance, bitwise equal to x.var(axis=1)
+        var = (centered * centered).mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-        return (x - mean) * inv, inv
+        return centered * inv, inv
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # rows far outside the data overflow the variance to inf; their

@@ -13,7 +13,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from cccpde.bayes import BetaPosterior, posterior_reports  # noqa: E402
-from cccpde.data import Standardizer, preset_datasets  # noqa: E402
+from cccpde.data import preset_datasets  # noqa: E402
 from cccpde.model import CccpDeModel, FfnnModel, TrainConfig, train  # noqa: E402
 from cccpde.numerics import Rng, derive_seed  # noqa: E402
 import cccpde.evaluate as ev  # noqa: E402
@@ -25,7 +25,6 @@ def separable_bundle():
     t0 = time.monotonic()
     sets = preset_datasets("separable", 123, 2000, 2000)
     model = CccpDeModel(2, 2, hidden=64, rng=Rng(derive_seed(10, "init")))
-    model.standardizer = Standardizer.fit(sets["train"].features)
     trace = train(model, sets["train"], TrainConfig(epochs=20),
                   Rng(derive_seed(10, "shuffle")))
     return {
@@ -46,13 +45,11 @@ def composite_bundle():
     tr, te = sets["train"], sets["test"]
 
     ffnn = FfnnModel(2, 64, 4, 0.05, Rng(derive_seed(1, "init")))
-    ffnn.standardizer = Standardizer.fit(tr.features)
     ffnn_trace = train(ffnn, tr, TrainConfig(epochs=20),
                        Rng(derive_seed(1, "shuffle")))
 
     model = CccpDeModel(2, 2, hidden=64, head_depth=2,
                         rng=Rng(derive_seed(2, "init")))
-    model.standardizer = Standardizer.fit(tr.features)
     cc_trace = train(model, tr, TrainConfig(epochs=30),
                      Rng(derive_seed(2, "shuffle")))
 
@@ -111,7 +108,6 @@ def openset_bundle():
     t0 = time.monotonic()
     sets = preset_datasets("openset", 777, 2000, 2000)
     model = CccpDeModel(2, 2, hidden=64, rng=Rng(derive_seed(3, "init")))
-    model.standardizer = Standardizer.fit(sets["train"].features)
     train(model, sets["train"], TrainConfig(epochs=20),
           Rng(derive_seed(3, "shuffle")))
     return {

@@ -16,7 +16,7 @@ import numpy as np
 from cccpde.bayes import OVERFLOW_LOG, UNDERFLOW_LOG
 from cccpde.errors import DomainError, NumericError
 from cccpde.flow import gaussian_logpdf
-from cccpde.nn import LEAKY_SLOPE, DenseBlock, MLP
+from cccpde.nn import LAYER_NORM_EPS, LEAKY_SLOPE, DenseBlock, MLP
 from cccpde.numerics import log_gamma
 
 
@@ -333,6 +333,14 @@ def reference_dropout(x, rate, rng):
     return x * mask / (1.0 - rate), mask
 
 
+def reference_layer_norm_standardize(x):
+    """`LayerNorm._standardize` as it took the variance from `np.var`,
+    which computes the row mean a second time."""
+    mean = x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    return (x - mean) * inv, inv
+
+
 def reference_mlp_forward(self, x):
     """`MLP.forward` as it kept every layer's pre-activation."""
     pres = []
@@ -396,7 +404,7 @@ def reference_training_pairs():
 def reference_cccpde_loss_and_grads(model, x, labels, rng):
     """`CccpDeModel.loss_and_grads` as it looped over `np.unique(labels)`."""
     labels = np.asarray(labels, dtype=np.int64)
-    xs, _ = model._model_space(x)
+    xs = model.standardizer.apply(x)
     n = xs.shape[0]
     base_out, log_det_base = model.base.forward(xs)
     g_base_out = np.zeros_like(base_out)

@@ -138,6 +138,31 @@ class TestTrain:
                    "--data", toy_run["data"] / "train.csv",
                    "--out", tmp_path / "m.bin", "--config", cfg) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("epochs = 2\nhidden\n", "config line 2 is not 'key = value'"),
+        ("epochs = two\n", "needs a int"),
+        ("learning_rate = fast\n", "needs a float"),
+        ("standardize = false\n", "unknown config keys"),
+    ], ids=["no-equals", "int", "float", "standardize"])
+    def test_bad_config_file_is_runtime_error(self, toy_run, tmp_path, capsys,
+                                              text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run("train", "--model", "ffnn",
+                   "--data", toy_run["data"] / "train.csv",
+                   "--out", tmp_path / "m" / "model.bin", "--config", cfg) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_standardize_flag_is_usage_error(self, toy_run, tmp_path):
+        # every model standardizes its inputs; train fits the standardizer
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--model", "cccpde", "--data",
+                toy_run["data"] / "train.csv", "--out", tmp_path / "m.bin",
+                "--no-standardize")
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_data_is_runtime_error(self, tmp_path):
         assert run("train", "--model", "ffnn", "--data",
                    tmp_path / "nope.csv", "--out", tmp_path / "m.bin") == 1
@@ -357,6 +382,39 @@ class TestEval:
         assert np.all(np.isfinite(lo_hi)) and np.all(lo_hi[:, 0] <= lo_hi[:, 1])
 
 
+class TestFailedRunWritesNothing:
+    """Settings and inputs are checked before the output directory is made."""
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("eval", "--base-rate", 1.5, "base rate must lie in (0, 1)"),
+        ("eval", "--threshold", 0, "threshold must be positive"),
+        ("eval", "--mass", 1, "mass must lie in (0, 1)"),
+        ("eval", "--volume", -1, "volume must be positive and finite"),
+        ("gen-data", "--train-size", 1,
+         "train and test sizes must each be >= 2"),
+    ], ids=["base-rate", "threshold", "mass", "volume", "train-size"])
+    def test_invalid_setting(self, toy_run, tmp_path, capsys, command, flag,
+                             value, message):
+        out = tmp_path / "out"
+        if command == "eval":
+            args = ["eval", "--model", toy_run["cc"],
+                    "--data", toy_run["data"] / "test.csv"]
+        else:
+            args = ["gen-data", "--preset", "composite"]
+        assert run(*args, "--out", out, flag, value) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_on_wrong_dimension(self, toy_run, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("label,f0,f1,f2\n0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n")
+        out = tmp_path / "out"
+        assert run("eval", "--model", toy_run["cc"], "--data", data,
+                   "--out", out) == 1
+        assert "expects (n, 2) input, got (2, 3)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSampleAndGrid:
     def test_sample_rows_and_density(self, toy_run, tmp_path):
         out = tmp_path / "samples.csv"
@@ -461,8 +519,7 @@ class TestParser:
             "train": ["--base-depth", "--batch-size", "--data",
                       "--disc-blocks", "--dropout", "--epochs",
                       "--ffnn-blocks", "--head-depth", "--hidden",
-                      "--learning-rate", "--model", "--no-standardize",
-                      "--seed"],
+                      "--learning-rate", "--model", "--seed"],
             "eval": ["--base-rate", "--data", "--ffnn", "--mass", "--model",
                      "--prior-strength", "--threshold", "--volume"],
             "sample": ["--class-index", "--count", "--model", "--seed"],

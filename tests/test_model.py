@@ -29,7 +29,7 @@ from cccpde.model import (
     save_model,
     train,
 )
-from cccpde.flow import FlowStack
+from cccpde.flow import FlowStack, gaussian_logpdf
 from cccpde.nn import (
     BLOCK_ROWS,
     AdamState,
@@ -98,8 +98,8 @@ class TestCccpDeForward:
         else:
             model = FfnnModel(2, 6, 2, 0.0, Rng(8))
             calls = [model.score]
-        if standardized:
-            model.standardizer = Standardizer(np.zeros(2), np.ones(2))
+        if standardized:  # a fitted standardizer, not the identity
+            model.standardizer = Standardizer(np.full(2, 0.5), np.full(2, 2.0))
         for call in calls:
             for x in (np.zeros(2), np.zeros(3), np.zeros((1, 2, 2))):
                 with pytest.raises(ShapeError):
@@ -320,7 +320,6 @@ class TestJointLoss:
         ds = gen_mixture([(0, (-2.0, 0.0), 0.25, 128),
                           (1, (2.0, 0.0), 0.25, 128)], seed=17)
         model = CccpDeModel(2, 2, hidden=32, rng=Rng(derive_seed(18, "init")))
-        model.standardizer = Standardizer.fit(ds.features)
         # full-batch steps so the per-epoch trace is one step per entry
         trace = train(model, ds, TrainConfig(epochs=50, batch_size=256),
                       Rng(derive_seed(18, "shuffle")))
@@ -396,6 +395,23 @@ class TestTraining:
         with pytest.raises(DomainError, match=f"no rows of class {1 - label}"):
             train(build(), ds, TrainConfig(epochs=1), Rng(0))
 
+    @both_models
+    def test_train_fits_the_standardizer(self, build, tmp_path):
+        ds = gen_mixture([(0, (-1.0, 3.0), 0.5, 40),
+                          (1, (2.0, -1.0), 2.0, 40)], seed=40)
+        fitted = Standardizer.fit(ds.features)
+        plain, prefit = build(), build()
+        assert np.array_equal(plain.standardizer.mean, np.zeros(2))
+        assert np.array_equal(plain.standardizer.std, np.ones(2))
+        prefit.standardizer = Standardizer.fit(ds.features)
+        for model, name in ((plain, "plain.bin"), (prefit, "prefit.bin")):
+            train(model, ds, TrainConfig(epochs=2, batch_size=32), Rng(41))
+            save_model(model, tmp_path / name)
+        assert plain.standardizer.mean.tobytes() == fitted.mean.tobytes()
+        assert plain.standardizer.std.tobytes() == fitted.std.tobytes()
+        assert ((tmp_path / "plain.bin").read_bytes()
+                == (tmp_path / "prefit.bin").read_bytes())
+
     def test_class_stats_recorded(self):
         ds = gen_mixture([(0, (0.0, 0.0), 1.0, 30),
                           (1, (1.0, 1.0), 1.0, 90)], seed=24)
@@ -423,7 +439,6 @@ class TestTrainedQuality:
         test_ds = gen_mixture(overlap_components(300, separation=0.0),
                               seed=derive_seed(27, "test"))
         model = CccpDeModel(2, 2, hidden=32, rng=Rng(derive_seed(27, "init")))
-        model.standardizer = Standardizer.fit(train_ds.features)
         train(model, train_ds, TrainConfig(epochs=8, batch_size=128),
               Rng(derive_seed(27, "shuffle")))
         log_d = model.log_densities(test_ds.features)
@@ -487,6 +502,44 @@ class TestSerialization:
         back = load_model(path)
         probes = Rng(34).normals(40).reshape(20, 2)
         assert np.array_equal(back.score(probes), model.score(probes))
+
+    @staticmethod
+    def save_without_standardizer(model, path):
+        """A format-1 file as saved from a model that had no standardizer:
+        `has_standardizer` 0 and no standardizer arrays."""
+        save_model(model, path)
+        kind, meta, arrays = read_state(path)
+        write_state(path, kind, {**meta, "has_standardizer": 0.0},
+                    [(name, arr) for name, arr in arrays
+                     if not name.startswith("standardizer/")])
+
+    def test_file_without_standardizer_keeps_raw_space_bits(self, tmp_path):
+        cc_path, ffnn_path = tmp_path / "cc.bin", tmp_path / "ffnn.bin"
+        self.save_without_standardizer(perturbed(small_model(dim=3), 43),
+                                       cc_path)
+        self.save_without_standardizer(
+            perturbed(FfnnModel(3, 6, 2, 0.0, Rng(44)), 45), ffnn_path)
+        cc, ffnn = load_model(cc_path), load_model(ffnn_path)
+        for model in (cc, ffnn):
+            assert np.array_equal(model.standardizer.mean, np.zeros(3))
+            assert np.array_equal(model.standardizer.std, np.ones(3))
+        x = 3.0 * Rng(46).normals(3 * 700).reshape(700, 3)
+        # the raw-space arithmetic: the networks on x itself, plus 0.0
+        base_out, log_det_base = cc.base(x)
+        log_d = np.empty((700, 2))
+        for k, head in enumerate(cc.heads):
+            z, log_det_head = head(base_out)
+            log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
+        log_d = log_d + 0.0
+        got_log_d, got_scores = cc.forward(x)
+        assert got_log_d.tobytes() == log_d.tobytes()
+        assert got_scores.tobytes() == cc.disc(base_out).tobytes()
+        assert cc.log_densities(x).tobytes() == log_d.tobytes()
+        assert ffnn.score(x).tobytes() == ffnn.head(x).tobytes()
+        for k in (0, 1):
+            want = cc.base.inverse(cc.heads[k].sample(Rng(47), 600))
+            got = cc.sample_class(k, Rng(47), 600)
+            assert got.tobytes() == want.tobytes()
 
     def test_corrupted_byte_is_checksum_error(self, tmp_path):
         model = small_model(dim=2, seed=35)

@@ -40,6 +40,7 @@ from helpers import (
     reference_activation,
     reference_activation_grad,
     reference_cccpde_loss_and_grads,
+    reference_layer_norm_standardize,
     reference_training_pairs,
     rel_err,
     worst_param_grad_err,
@@ -192,6 +193,37 @@ class TestLayerNorm:
             return float((norm.forward(x) * weights).sum())
 
         assert worst_param_grad_err(norm.params(), run_backward, eval_loss) < 1e-5
+
+    def test_standardize_matches_np_var_bitwise(self):
+        # 1 to 300 rows, widths 1 to 128, scales 1e-3 to 1e6, offsets up
+        # to 1e4 either side of zero
+        rng = Rng(33)
+        for case in range(200):
+            u = rng.uniforms(4)
+            rows, width = 1 + int(300 * u[0]), 1 + int(128 * u[1])
+            scale, offset = 10.0 ** (9 * u[2] - 3), 1e4 * (2 * u[3] - 1)
+            x = offset + scale * rng.normals(rows * width).reshape(rows, width)
+            got = LayerNorm._standardize(x)
+            want = reference_layer_norm_standardize(x)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), case
+
+    def test_call_matches_np_var_on_overflow_rows(self):
+        norm = LayerNorm(4)
+        norm.gain.value[...] = [1.5, -2.0, 0.5, 3.0]
+        norm.bias.value[...] = [0.1, 0.2, -0.3, 0.4]
+        x = np.array([[1e200, -1e200, 0.0, 1.0],  # squared deviations overflow
+                      [1e154, -1e154, 1e154, -1e154],  # only their sum does
+                      [1e308, -1e308, 1e308, -1e308],
+                      [1.0, 2.0, 3.0, 4.0]])
+        with np.errstate(over="ignore"):
+            want = (reference_layer_norm_standardize(x)[0] * norm.gain.value
+                    + norm.bias.value)
+        with np.errstate(all="raise"):
+            got = norm(x)
+        assert got.tobytes() == want.tobytes()
+        # an overflowed variance gives those rows inverse scale 0
+        assert np.array_equal(got[:3], np.tile(norm.bias.value, (3, 1)))
 
 
 class TestDropout:
