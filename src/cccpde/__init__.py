@@ -4,11 +4,9 @@ uncertainty, abstention, and open-set scoring."""
 from .bayes import (
     BetaPosterior,
     PosteriorBatch,
-    UncertaintyReport,
     base_rate_prior,
     beta_cdf,
     beta_quantile,
-    credible_interval,
     posterior_report,
     posterior_reports,
     pseudo_counts,

@@ -2,8 +2,9 @@
 
 Class-conditional densities become pseudo-counts of nearby samples, the
 counts update a Beta prior in closed form, and equal-tailed credible
-intervals of the posterior drive the abstention rule. `posterior_reports`
-runs that pipeline on every row at once and returns one `PosteriorBatch`.
+intervals of the posterior drive the abstention rule. That is one
+pipeline, `posterior_reports`, run on every row at once, with one result
+type, `PosteriorBatch`, holding an array per field.
 
 The regularized incomplete beta function I_x(a, b) is the front factor
 x^a (1-x)^b / B(a, b) times a continued fraction (modified Lentz). The
@@ -507,37 +508,7 @@ def beta_quantile(q, a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_mass(mass: float) -> None:
-    if not 0.0 < mass < 1.0:
-        raise DomainError(f"mass must lie in (0, 1), got {mass}")
-
-
-def credible_interval(post: BetaPosterior,
-                      mass: float = 0.95) -> tuple[float, float]:
-    """Equal-tailed credible interval containing the stated posterior mass."""
-    _check_mass(mass)
-    tail = 0.5 * (1.0 - mass)
-    lo, hi = beta_quantile(np.array([tail, 1.0 - tail]), post.a, post.b)
-    return float(lo), float(hi)
-
-
 # -- posterior pipeline -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    """Everything the posterior pipeline produced for one sample."""
-
-    log_densities: np.ndarray
-    counts: np.ndarray
-    posterior: BetaPosterior
-    interval: tuple[float, float]
-    mean: float
-    abstain: bool
-
-    @property
-    def interval_range(self) -> float:
-        return self.interval[1] - self.interval[0]
 
 
 @dataclass(frozen=True)
@@ -565,21 +536,22 @@ class PosteriorBatch:
     def interval_range(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def row(self, i: int) -> UncertaintyReport:
-        return UncertaintyReport(
-            log_densities=self.log_densities[i], counts=self.counts[i],
-            posterior=BetaPosterior(self.a[i], self.b[i]),
-            interval=(float(self.lo[i]), float(self.hi[i])),
-            mean=float(self.mean[i]), abstain=bool(self.abstain[i]))
 
+def posterior_reports(log_densities: np.ndarray, class_counts: np.ndarray,
+                      prior: BetaPosterior, volume: float,
+                      threshold: float = 0.1,
+                      mass: float = 0.95) -> PosteriorBatch:
+    """The posterior pipeline over the rows of an (n, 2) log-density array.
 
-def _posterior(log_densities: np.ndarray, class_counts: np.ndarray,
-               prior: BetaPosterior, volume: float, threshold: float,
-               mass: float) -> PosteriorBatch:
-    # log-densities -> counts -> (a, b) -> both interval ends -> abstain
+    Log-densities -> pseudo-counts -> Beta(a, b) -> both ends of the
+    equal-tailed interval holding `mass` -> abstain where it is wider than
+    `threshold`. Class 1 counts as the positive class.
+    """
     if not threshold > 0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    _check_mass(mass)
+    if not 0.0 < mass < 1.0:
+        raise DomainError(f"mass must lie in (0, 1), got {mass}")
+    log_densities = np.asarray(log_densities, dtype=np.float64)
     if log_densities.ndim != 2 or log_densities.shape[1] != 2:
         raise ShapeError(f"log-densities must be (n, 2), got "
                          f"shape {log_densities.shape}")
@@ -598,22 +570,11 @@ def _posterior(log_densities: np.ndarray, class_counts: np.ndarray,
 def posterior_report(log_densities: np.ndarray, class_counts: np.ndarray,
                      prior: BetaPosterior, volume: float,
                      threshold: float = 0.1,
-                     mass: float = 0.95) -> UncertaintyReport:
-    """The posterior pipeline for one sample: counts, conjugate update,
-    interval, abstain.
+                     mass: float = 0.95) -> PosteriorBatch:
+    """`posterior_reports` on one sample's log-densities: a one-row batch.
 
-    Binary only; class 1 counts as the positive class. The abstain flag is
-    set when the credible interval is wider than the threshold.
+    Only the benchmark's per-row timing calls this; it goes when that
+    benchmark times `posterior_reports` instead (ROADMAP item 3).
     """
-    log_densities = np.asarray(log_densities, dtype=np.float64).reshape(1, -1)
-    return _posterior(log_densities, class_counts, prior, volume,
-                      threshold, mass).row(0)
-
-
-def posterior_reports(log_densities: np.ndarray, class_counts: np.ndarray,
-                      prior: BetaPosterior, volume: float,
-                      threshold: float = 0.1,
-                      mass: float = 0.95) -> PosteriorBatch:
-    """The posterior pipeline over the rows of an (n, 2) log-density array."""
-    return _posterior(np.asarray(log_densities, dtype=np.float64),
-                      class_counts, prior, volume, threshold, mass)
+    return posterior_reports(np.reshape(log_densities, (1, -1)), class_counts,
+                             prior, volume, threshold, mass)

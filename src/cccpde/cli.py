@@ -259,10 +259,11 @@ def _cmd_density_grid(args) -> int:
         mean, std = model.standardizer.mean, model.standardizer.std
         bounds = (mean[0] - 6 * std[0], mean[0] + 6 * std[0],
                   mean[1] - 6 * std[1], mean[1] + 6 * std[1])
-    xs, ys, _, log_d, total = ev.density_grid(model, bounds, cfg["resolution"])
+    _, _, points, log_d, total = ev.density_grid(model, bounds,
+                                                 cfg["resolution"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    ev.write_density_grid_csv(out, xs, ys, log_d, total)
+    ev.write_density_grid_csv(out, points, log_d, total)
     _write_config_log(out.with_suffix(".config.txt"), cfg, {
         "model": args.model, "out": out,
         "bounds": ",".join(repr(float(b)) for b in bounds),

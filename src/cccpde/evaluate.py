@@ -180,9 +180,8 @@ def write_reports_csv(path, labels, score_ffnn, score_sigmoid,
                batch.mean, batch.lo, batch.hi, batch.abstain])
 
 
-def write_density_grid_csv(path, xs, ys, log_d, total) -> None:
-    """Rows vary x fastest, as the points of `density_grid` do."""
-    xs, ys = np.asarray(xs), np.asarray(ys)
+def write_density_grid_csv(path, points, log_d, total) -> None:
+    """One row per point of `density_grid`, in its order."""
     write_csv(path, ["x", "y", *(f"logp_{k}" for k in range(log_d.shape[1])),
                      "logp_total"],
-              [np.tile(xs, ys.size), np.repeat(ys, xs.size), *log_d.T, total])
+              [points[:, 0], points[:, 1], *log_d.T, total])

@@ -398,6 +398,10 @@ def _build(cls, meta: dict, arrays: list, *sizes: str):
         if name.endswith("/perm") and sorted(arr.tolist()) != list(range(arr.size)):
             raise ModelFormatError(
                 f"array {name} is not a permutation of range({arr.size})")
+        if name == "standardizer/mean" and not np.all(np.isfinite(arr)):
+            raise ModelFormatError(f"array {name} is not finite")
+        if name == "standardizer/std" and not np.all((arr > 0) & (arr < np.inf)):
+            raise ModelFormatError(f"array {name} is not positive and finite")
         live[...] = arr
     if stored:
         raise ModelFormatError(

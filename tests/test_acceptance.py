@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cccpde.evaluate as ev
-from cccpde.bayes import BetaPosterior, beta_cdf, credible_interval
+from cccpde.bayes import beta_cdf, beta_quantile
 from cccpde.cli import main as cli_main
 from cccpde.flow import FlowStack, gaussian_logpdf
 from cccpde.model import load_model, save_model
@@ -188,12 +188,13 @@ def test_criterion_04_beta_machinery():
     worst_cdf = max(abs(beta_cdf(x, a, b) - beta_cdf_oracle(x, a, b))
                     for a, b, x in grid)
     worst_mass = 0.0
+    tail = 0.5 * (1.0 - 0.95)
     for a, b in ((0.5, 0.5), (1.0, 1.0), (2.0, 7.0), (50.0, 50.0),
                  (200.0, 3.0)):
-        lo, hi = credible_interval(BetaPosterior(a, b), 0.95)
+        lo, hi = beta_quantile(np.array([tail, 1 - tail]), a, b)
         worst_mass = max(worst_mass,
                          abs(beta_cdf(hi, a, b) - beta_cdf(lo, a, b) - 0.95))
-    lo, hi = credible_interval(BetaPosterior(1.0, 1.0), 0.95)
+    lo, hi = beta_quantile(np.array([tail, 1 - tail]), 1.0, 1.0)
     uniform_ok = abs(lo - 0.025) < 1e-9 and abs(hi - 0.975) < 1e-9
     check("criterion 4: beta machinery",
           worst_cdf < 1e-8 and worst_mass < 1e-8 and uniform_ok,

@@ -12,7 +12,6 @@ from cccpde.bayes import (
     base_rate_prior,
     beta_cdf,
     beta_quantile,
-    credible_interval,
     posterior_report,
     posterior_reports,
     pseudo_counts,
@@ -24,6 +23,9 @@ from cccpde.numerics import Rng
 from helpers import ball_volume, mc_count_estimate, stack_log_density
 
 mp.mp.dps = 30
+
+# the lower tail of a 95% equal-tailed interval, as the posterior computes it
+TAIL = 0.5 * (1.0 - 0.95)
 
 
 def beta_cdf_oracle(x, a, b):
@@ -237,7 +239,7 @@ class TestBetaCdf:
 
 class TestCredibleInterval:
     def test_uniform_interval(self):
-        lo, hi = credible_interval(BetaPosterior(1.0, 1.0), 0.95)
+        lo, hi = beta_quantile(np.array([TAIL, 1 - TAIL]), 1.0, 1.0)
         assert abs(lo - 0.025) < 1e-9
         assert abs(hi - 0.975) < 1e-9
 
@@ -247,30 +249,24 @@ class TestCredibleInterval:
         assert 0.55 - 0.13 > 0.1
 
     def test_concentrated_posterior_is_narrow(self):
-        post = BetaPosterior(200.0, 200.0)
-        lo, hi = credible_interval(post, 0.95)
+        lo, hi = beta_quantile(np.array([TAIL, 1 - TAIL]), 200.0, 200.0)
         assert hi - lo < 0.1
         assert abs(lo - beta_quantile_oracle(0.025, 200.0, 200.0)) < 1e-6
         assert abs(hi - beta_quantile_oracle(0.975, 200.0, 200.0)) < 1e-6
 
     def test_interval_mass(self):
         for a, b in [(0.5, 0.5), (1.0, 3.0), (2.0, 2.0), (50.0, 7.0)]:
-            post = BetaPosterior(a, b)
-            lo, hi = credible_interval(post, 0.95)
+            lo, hi = beta_quantile(np.array([TAIL, 1 - TAIL]), a, b)
             mass = beta_cdf(hi, a, b) - beta_cdf(lo, a, b)
             assert abs(mass - 0.95) < 1e-8
 
     def test_range_shrinks_with_total_count(self):
         ranges = []
         for total in [2.0, 8.0, 32.0, 128.0, 512.0]:
-            post = BetaPosterior(1.0 + total / 2, 1.0 + total / 2)
-            lo, hi = credible_interval(post)
+            lo, hi = beta_quantile(np.array([TAIL, 1 - TAIL]),
+                                   1.0 + total / 2, 1.0 + total / 2)
             ranges.append(hi - lo)
         assert all(b < a for a, b in zip(ranges, ranges[1:]))
-
-    def test_mass_validated(self):
-        with pytest.raises(DomainError):
-            credible_interval(BetaPosterior(1.0, 1.0), 1.0)
 
 
 class TestPriors:
@@ -288,31 +284,31 @@ class TestPriors:
 
 class TestPosteriorReport:
     def test_underflow_reports_prior_and_abstains(self):
-        report = posterior_report(np.array([-900.0, -900.0]),
-                                  np.array([100.0, 100.0]),
-                                  BetaPosterior(1.0, 1.0), 0.1)
-        assert (report.posterior.a, report.posterior.b) == (1.0, 1.0)
-        assert report.interval_range == pytest.approx(0.95, abs=1e-9)
-        assert report.abstain
+        batch = posterior_report(np.array([-900.0, -900.0]),
+                                 np.array([100.0, 100.0]),
+                                 BetaPosterior(1.0, 1.0), 0.1)
+        assert (batch.a[0], batch.b[0]) == (1.0, 1.0)
+        assert batch.interval_range[0] == pytest.approx(0.95, abs=1e-9)
+        assert batch.abstain[0]
 
     def test_strong_one_sided_density(self):
-        report = posterior_report(np.array([-2000.0, math.log(500.0)]),
-                                  np.array([1.0, 1.0]),
-                                  BetaPosterior(1.0, 1.0), 1.0)
-        assert report.mean > 0.99
-        assert report.interval_range < 0.02
-        assert not report.abstain
-        lo, hi = report.interval
+        batch = posterior_report(np.array([-2000.0, math.log(500.0)]),
+                                 np.array([1.0, 1.0]),
+                                 BetaPosterior(1.0, 1.0), 1.0)
+        assert batch.mean[0] > 0.99
+        assert batch.interval_range[0] < 0.02
+        assert not batch.abstain[0]
+        lo, hi = batch.lo[0], batch.hi[0]
         assert abs(lo - beta_quantile_oracle(0.025, 501.0, 1.0)) < 1e-6
         assert abs(hi - beta_quantile_oracle(0.975, 501.0, 1.0)) < 1e-6
 
     def test_symmetric_small_counts_abstain(self):
-        report = posterior_report(np.array([math.log(2.0), math.log(2.0)]),
-                                  np.array([1.0, 1.0]),
-                                  BetaPosterior(1.0, 1.0), 1.0)
-        assert report.mean == pytest.approx(0.5)
-        assert report.interval_range > 0.1
-        assert report.abstain
+        batch = posterior_report(np.array([math.log(2.0), math.log(2.0)]),
+                                 np.array([1.0, 1.0]),
+                                 BetaPosterior(1.0, 1.0), 1.0)
+        assert batch.mean[0] == pytest.approx(0.5)
+        assert batch.interval_range[0] > 0.1
+        assert batch.abstain[0]
 
     def test_multiclass_rejected(self):
         with pytest.raises(ShapeError, match=r"\(n, 2\)"):
@@ -350,7 +346,7 @@ class TestOracleAgreement:
     def test_interval_mass_to_1e12(self):
         for a, b in ((0.5, 0.5), (1.0, 3.0), (2.0, 7.0), (50.0, 50.0),
                      (200.0, 3.0)):
-            lo, hi = credible_interval(BetaPosterior(a, b), 0.95)
+            lo, hi = beta_quantile(np.array([TAIL, 1 - TAIL]), a, b)
             mass = beta_cdf_oracle(hi, a, b) - beta_cdf_oracle(lo, a, b)
             assert abs(mass - 0.95) < 1e-12
 
@@ -414,10 +410,10 @@ class TestArrayApi:
 
 class TestPosteriorBatch:
     def test_crash_1_regression(self):
-        report = posterior_report(np.array([20.0, 20.0]),
-                                  np.array([1000.0, 1000.0]),
-                                  BetaPosterior(1, 1), 1.0)
-        lo, hi = report.interval
+        batch = posterior_report(np.array([20.0, 20.0]),
+                                 np.array([1000.0, 1000.0]),
+                                 BetaPosterior(1, 1), 1.0)
+        lo, hi = batch.lo[0], batch.hi[0]
         assert math.isfinite(lo) and math.isfinite(hi)
         assert lo < hi and hi - lo < 0.1
 
@@ -473,8 +469,8 @@ class TestPosteriorBatch:
         batch = posterior_reports(log_d, class_counts, prior, 0.01)
         for i, row in enumerate(log_d):
             one = posterior_report(row, class_counts, prior, 0.01)
-            assert np.array_equal(one.counts, batch.counts[i])
-            assert one.posterior == BetaPosterior(batch.a[i], batch.b[i])
-            assert one.interval == (batch.lo[i], batch.hi[i])
-            assert one.mean == batch.mean[i]
-            assert one.abstain == batch.abstain[i]
+            assert len(one) == 1
+            for field in ("log_densities", "counts", "a", "b", "lo", "hi",
+                          "mean", "abstain"):
+                assert getattr(one, field)[0].tobytes() \
+                    == getattr(batch, field)[i].tobytes(), field

@@ -13,6 +13,7 @@ from cccpde.bayes import BetaPosterior, posterior_reports
 from cccpde.cli import build_parser, main
 from cccpde.data import load_csv, regression_true_mean
 from cccpde.model import load_model, save_model
+from cccpde.serialize import read_state, write_state
 
 from helpers import (
     rel_err,
@@ -412,6 +413,18 @@ class TestFailedRunWritesNothing:
         assert run("eval", "--model", toy_run["cc"], "--data", data,
                    "--out", out) == 1
         assert "expects (n, 2) input, got (2, 3)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_on_zero_standardizer_std(self, toy_run, tmp_path, capsys):
+        kind, meta, arrays = read_state(toy_run["cc"])
+        model = tmp_path / "bad.bin"
+        write_state(model, kind, meta,
+                    [(n, np.array([1.0, 0.0]) if n == "standardizer/std"
+                      else a) for n, a in arrays])
+        out = tmp_path / "out"
+        assert run("eval", "--model", model,
+                   "--data", toy_run["data"] / "test.csv", "--out", out) == 1
+        assert "standardizer/std" in capsys.readouterr().err
         assert not out.exists()
 
 

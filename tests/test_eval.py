@@ -32,6 +32,11 @@ def make_batch(intervals, threshold=0.1, log_densities=None):
         mean=0.5 * (lo + hi), abstain=(hi - lo) > threshold)
 
 
+def grid_points(xs, ys):
+    """The points of a grid over the axes `xs` and `ys`, x varying fastest."""
+    return np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         curve = ev.roc_auc(np.array([0.9, 0.8, 0.3, 0.2]),
@@ -259,6 +264,7 @@ class TestDensityGrid:
         xs, ys, points, log_d, total = ev.density_grid(
             separable_bundle["model"], (-1.0, 1.0, -1.0, 1.0), 2)
         assert points.shape == (4, 2)
+        assert np.array_equal(points, grid_points(xs, ys))
         assert log_d.shape == (4, 2)
         assert total.shape == (4,)
 
@@ -359,10 +365,12 @@ class TestCsvWriters:
                                                          batch))
         assert b"\n0,0,nan,-0.0,-0.0,-0.0," in out
 
-        grid = (col()[:20], col()[:10], np.column_stack([col(), col(), col()]),
-                col())
-        same(lambda p: ev.write_density_grid_csv(p, *grid),
-             lambda p: reference_write_density_grid_csv(p, *grid))
+        xs, ys = col()[:20], col()[:10]
+        log_d, total = np.column_stack([col(), col(), col()]), col()
+        same(lambda p: ev.write_density_grid_csv(p, grid_points(xs, ys),
+                                                 log_d, total),
+             lambda p: reference_write_density_grid_csv(p, xs, ys, log_d,
+                                                        total))
 
     @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                    CSV_BLOCK_ROWS + 1])
@@ -393,7 +401,9 @@ class TestCsvWriters:
         same(lambda p: ev.write_reports_csv(p, *scores, batch),
              lambda p: reference_write_reports_csv(p, *scores, log_d, batch))
 
-        grid = (col(), np.array([-0.0]), np.column_stack([col(), col()]),
-                col())
-        same(lambda p: ev.write_density_grid_csv(p, *grid),
-             lambda p: reference_write_density_grid_csv(p, *grid))
+        xs, ys = col(), np.array([-0.0])
+        log_d, total = np.column_stack([col(), col()]), col()
+        same(lambda p: ev.write_density_grid_csv(p, grid_points(xs, ys),
+                                                 log_d, total),
+             lambda p: reference_write_density_grid_csv(p, xs, ys, log_d,
+                                                        total))

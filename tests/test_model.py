@@ -652,3 +652,19 @@ class TestLoaderChecks:
                   for n, a in arrays]
         with pytest.raises(ModelFormatError, match=re.escape(name)):
             self.rewrite_and_load(path, kind, meta, arrays)
+
+    @pytest.mark.parametrize("name, values", [
+        ("standardizer/std", [1.0, 0.0, -2.0]),
+        ("standardizer/std", [1.0, np.nan, 1.0]),
+        ("standardizer/std", [1.0, np.inf, 1.0]),
+        ("standardizer/mean", [0.0, np.nan, 0.0]),
+    ], ids=["std-nonpositive", "std-nan", "std-inf", "mean-nan"])
+    def test_standardizer_that_cannot_standardize(self, tmp_path, name,
+                                                   values):
+        path = tmp_path / "model.bin"
+        save_model(small_model(dim=3, seed=38), path)
+        kind, meta, arrays = read_state(path)
+        arrays = [(n, np.array(values) if n == name else a)
+                  for n, a in arrays]
+        with pytest.raises(ModelFormatError, match=re.escape(name)):
+            self.rewrite_and_load(path, kind, meta, arrays)

@@ -20,10 +20,9 @@ PUBLIC = {
     "AdamState", "BetaPosterior", "CccpDeModel", "CouplingLayer", "Dataset",
     "DenseBlock", "DenseLayer", "FfnnModel", "FlowStack", "GlmRegressor",
     "LayerNorm", "MLP", "NO_SUPPORT", "Param", "PosteriorBatch", "Rng",
-    "RocCurve", "SigmoidHead", "Standardizer", "TrainConfig",
-    "UncertaintyReport", "activation", "base_rate_prior", "bce_with_logits",
-    "beta_cdf", "beta_quantile", "credible_interval", "density_grid",
-    "derive_seed", "dropout", "filter_by_uncertainty",
+    "RocCurve", "SigmoidHead", "Standardizer", "TrainConfig", "activation",
+    "base_rate_prior", "bce_with_logits", "beta_cdf", "beta_quantile",
+    "density_grid", "derive_seed", "dropout", "filter_by_uncertainty",
     "filtered_roc_comparison", "gaussian_logpdf", "gaussian_nll_loss",
     "gen_mixture", "gen_regression_1d", "glm_fit_and_predict", "in_set_score",
     "load_csv", "load_model", "log_gamma", "logsumexp", "posterior_report",
@@ -31,10 +30,11 @@ PUBLIC = {
     "ratio_test_classify", "roc_auc", "save_csv", "save_model", "train",
 }
 
-# test oracles and test-only helpers that the runtime no longer ships,
-# by module or class
+# names the runtime no longer ships (test oracles, test-only helpers and
+# retired API), by module or class
 REMOVED = {
-    "bayes": ["beta_update", "mc_count_estimate", "ball_volume"],
+    "bayes": ["beta_update", "mc_count_estimate", "ball_volume",
+              "UncertaintyReport", "credible_interval", "_check_mass"],
     "numerics": ["finite_diff_grad"],
     "nn": ["activation_grad"],
     "data": ["split"],
@@ -44,6 +44,8 @@ REMOVED = {
     "errors": ["UnsupportedError"],
     "data.Dataset": ["n_classes"],
     "model.CccpDeModel": ["_check_labels", "record_class_stats"],
+    # one posterior path: every posterior is a PosteriorBatch
+    "bayes.PosteriorBatch": ["row"],
 }
 
 
