@@ -139,16 +139,19 @@ def _cmd_train(args) -> int:
         model = CccpDeModel(dataset.dim, 2, cfg["hidden"],
                             cfg["base_depth"], cfg["head_depth"],
                             cfg["disc_blocks"], cfg["dropout"], init_rng)
-    trace = train(model, dataset, config, Rng(derive_seed(cfg["seed"], "shuffle")))
+    trace, final_loss = train(model, dataset, config,
+                              Rng(derive_seed(cfg["seed"], "shuffle")))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
     write_csv(out.with_suffix(".trace.csv"), ["epoch", "loss"],
               [np.arange(1, len(trace) + 1), trace])
+    out.with_suffix(".final_loss.txt").write_text(
+        f"final_loss = {final_loss!r}\n", encoding="utf-8")
     _write_config_log(out.with_suffix(".config.txt"), cfg,
                       {"model": args.model, "data": args.data, "out": out})
     print(f"trained {args.model} on {dataset.n_rows} rows; "
-          f"final loss {trace[-1]:.6f}; model at {out}")
+          f"final loss {final_loss:.6f}; model at {out}")
     return 0
 
 
@@ -286,7 +289,7 @@ def _cmd_glm_demo(args) -> int:
     config = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                          learning_rate=cfg["learning_rate"])
     init_rng = Rng(derive_seed(cfg["seed"], "init"))
-    _, _, model = glm_fit_and_predict(x, y, config, init_rng, cfg["hidden"])
+    model = glm_fit_and_predict(x, y, config, init_rng, cfg["hidden"])
     grid = np.linspace(-3.0, 3.0, cfg["grid_size"])
     mu, sigma = model.predict(grid)
     truth = regression_true_mean(grid)

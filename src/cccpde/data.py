@@ -252,9 +252,18 @@ class Standardizer:
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
+        """Fit on `features`; a column whose mean or std is not finite (its
+        sum or sum of squares overflows) raises a DomainError naming it."""
         features = np.asarray(features, dtype=np.float64)
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = features.mean(axis=0)
+            std = features.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise DomainError(
+                f"feature column 'f{j}' has no finite mean and std "
+                f"(mean {mean[j]}, std {std[j]}); rescale it")
         degenerate = std < 1e-12
         if np.any(degenerate):
             warnings.warn(

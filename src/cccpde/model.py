@@ -3,9 +3,9 @@
 Three architectures live here: the dense feed-forward baseline, the
 class-conditional coupling-flow estimator (shared coupling base, one
 coupling head per class, plus an auxiliary sigmoid head), and a small
-heteroscedastic Gaussian regressor. Training is plain minibatch Adam over
-seed-shuffled epochs; the per-epoch loss trace is evaluated in inference
-mode on the full training set, so a reloaded model reproduces it exactly.
+heteroscedastic Gaussian regressor. One minibatch Adam loop trains all
+three. Trace rows are the epochs' training-mode minibatch means; only the
+final loss, one inference-mode full-set pass, is reproducible from a file.
 
 Every model carries a Standardizer, the identity until `train` fits it
 on the training set. Public densities and scores accept raw feature space
@@ -15,6 +15,7 @@ standardized model space.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,8 @@ class CccpDeModel:
                       for _ in range(2)]
         self.disc = SigmoidHead(dim, hidden, disc_blocks, dropout_rate, rng)
         self.dropout_rate = dropout_rate
-        self.class_counts = np.zeros(2)
+        # one row per class until `train` sets them, so the file loads
+        self.class_counts = np.ones(2)
         self.class_priors = np.full(2, 0.5)
         self.standardizer = Standardizer(np.zeros(dim), np.ones(dim))
 
@@ -248,7 +250,7 @@ class CccpDeModel:
 
 class GlmRegressor:
     """Shared tanh trunk with linear mean and log-variance heads, on a
-    scalar input."""
+    scalar input. It has no dropout, so `loss_and_grads` ignores `rng`."""
 
     def __init__(self, hidden: int = 64, rng: Rng | None = None):
         if hidden < 1:
@@ -268,7 +270,7 @@ class GlmRegressor:
         h = self.trunk(self._rows(x))
         return self.mean_head(h).ravel(), np.exp(0.5 * self.log_var_head(h).ravel())
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> float:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, rng=None) -> float:
         h = self.trunk.forward(self._rows(x))
         mu = self.mean_head.forward(h).ravel()
         log_var = self.log_var_head.forward(h).ravel()
@@ -284,13 +286,14 @@ class GlmRegressor:
 
 
 def train(model, dataset: Dataset, config: TrainConfig,
-          rng: Rng) -> list[float]:
-    """Minibatch Adam over shuffled epochs; returns the per-epoch loss trace.
+          rng: Rng) -> tuple[list[float], float]:
+    """Minibatch Adam over shuffled epochs; returns (trace, final loss).
 
     The model's standardizer, and a density estimator's class counts and
-    priors, are first set from the training set. Trace entries are
-    inference-mode losses on the full training set, so they are
-    reproducible from a reloaded model.
+    priors, are first set from the training set. Trace entries are the
+    epochs' training-mode minibatch losses, row-weighted; the final loss is
+    one inference-mode pass over the training set, which a reloaded model
+    reproduces exactly.
     """
     if dataset.n_rows == 0:
         raise DomainError("cannot train on an empty dataset")
@@ -302,29 +305,21 @@ def train(model, dataset: Dataset, config: TrainConfig,
     if not counts.all():
         raise DomainError(
             f"training set has no rows of class {int(np.argmin(counts))}")
-    model.standardizer = Standardizer.fit(features)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model.standardizer = Standardizer.fit(features)
+    for warning in caught:  # a constant column warns at our caller
+        warnings.warn(warning.message, stacklevel=2)
     if isinstance(model, CccpDeModel):
         model.class_counts = counts
         model.class_priors = counts / counts.sum()
-    adam = AdamState(config.learning_rate)
-    params = model.params()
-    n = dataset.n_rows
-    trace = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            adam.zero_grad(params)
-            model.loss_and_grads(features[idx], labels[idx], rng=rng)
-            adam.step(params)
-        trace.append(model.eval_loss(features, labels))
-    return trace
+    trace = _adam_epochs(model, features, labels, config, rng)
+    return trace, model.eval_loss(features, labels)
 
 
 def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                        rng: Rng, hidden: int = 64,
-                        ) -> tuple[np.ndarray, np.ndarray, GlmRegressor]:
-    """Train a fresh Gaussian regressor and return (mean, std) per input."""
+                        rng: Rng, hidden: int = 64) -> GlmRegressor:
+    """Train a fresh Gaussian regressor; its `predict` gives (mean, std)."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.size == 0:
@@ -332,18 +327,27 @@ def glm_fit_and_predict(x: np.ndarray, y: np.ndarray, config: TrainConfig,
     if x.shape != y.shape:
         raise ShapeError(f"x shape {x.shape} != y shape {y.shape}")
     model = GlmRegressor(hidden, rng)
+    _adam_epochs(model, x, y, config, rng)
+    return model
+
+
+def _adam_epochs(model, x, y, config: TrainConfig, rng: Rng) -> list[float]:
+    """Minibatch Adam over epochs shuffled by `rng`, which also draws the
+    dropout masks; returns each epoch's row-weighted mean minibatch loss."""
     adam = AdamState(config.learning_rate)
     params = model.params()
-    n = x.size
+    n = x.shape[0]
+    trace = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
+        total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             adam.zero_grad(params)
-            model.loss_and_grads(x[idx], y[idx])
+            total += idx.size * model.loss_and_grads(x[idx], y[idx], rng=rng)
             adam.step(params)
-    mu, sigma = model.predict(x)
-    return mu, sigma, model
+        trace.append(total / n)
+    return trace
 
 
 # -- persistence helpers -----------------------------------------------------
@@ -366,6 +370,15 @@ def load_model(path):
     if cls is None:
         raise ModelFormatError(f"unknown model kind code {kind_code}")
     return cls.from_state(meta, arrays)
+
+
+# stored arrays with a value rule: name -> (rule text, elementwise test)
+_ARRAY_RULES = {
+    "standardizer/mean": ("finite", np.isfinite),
+    "standardizer/std": ("positive and finite", lambda a: (a > 0) & (a < np.inf)),
+    "class_counts": ("positive and finite", lambda a: (a > 0) & (a < np.inf)),
+    "class_priors": ("positive and at most 1", lambda a: (a > 0) & (a <= 1)),
+}
 
 
 def _build(cls, meta: dict, arrays: list, *sizes: str):
@@ -398,10 +411,9 @@ def _build(cls, meta: dict, arrays: list, *sizes: str):
         if name.endswith("/perm") and sorted(arr.tolist()) != list(range(arr.size)):
             raise ModelFormatError(
                 f"array {name} is not a permutation of range({arr.size})")
-        if name == "standardizer/mean" and not np.all(np.isfinite(arr)):
-            raise ModelFormatError(f"array {name} is not finite")
-        if name == "standardizer/std" and not np.all((arr > 0) & (arr < np.inf)):
-            raise ModelFormatError(f"array {name} is not positive and finite")
+        rule = _ARRAY_RULES.get(name)
+        if rule is not None and not np.all(rule[1](arr)):
+            raise ModelFormatError(f"array {name} is not {rule[0]}")
         live[...] = arr
     if stored:
         raise ModelFormatError(

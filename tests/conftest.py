@@ -25,8 +25,8 @@ def separable_bundle():
     t0 = time.monotonic()
     sets = preset_datasets("separable", 123, 2000, 2000)
     model = CccpDeModel(2, 2, hidden=64, rng=Rng(derive_seed(10, "init")))
-    trace = train(model, sets["train"], TrainConfig(epochs=20),
-                  Rng(derive_seed(10, "shuffle")))
+    trace, _ = train(model, sets["train"], TrainConfig(epochs=20),
+                     Rng(derive_seed(10, "shuffle")))
     return {
         "model": model,
         "train": sets["train"],
@@ -45,13 +45,11 @@ def composite_bundle():
     tr, te = sets["train"], sets["test"]
 
     ffnn = FfnnModel(2, 64, 4, 0.05, Rng(derive_seed(1, "init")))
-    ffnn_trace = train(ffnn, tr, TrainConfig(epochs=20),
-                       Rng(derive_seed(1, "shuffle")))
+    train(ffnn, tr, TrainConfig(epochs=20), Rng(derive_seed(1, "shuffle")))
 
     model = CccpDeModel(2, 2, hidden=64, head_depth=2,
                         rng=Rng(derive_seed(2, "init")))
-    cc_trace = train(model, tr, TrainConfig(epochs=30),
-                     Rng(derive_seed(2, "shuffle")))
+    train(model, tr, TrainConfig(epochs=30), Rng(derive_seed(2, "shuffle")))
 
     log_d, sigmoid_scores = model.forward(te.features)
     _, ratio_scores = ev.ratio_test_classify(
@@ -68,7 +66,6 @@ def composite_bundle():
         te.labels, scorers, batch)
     return {
         "ffnn": ffnn, "model": model, "train": tr, "test": te,
-        "ffnn_trace": ffnn_trace, "cc_trace": cc_trace,
         "log_densities": log_d, "scorers": scorers, "batch": batch,
         "curves": curves, "retained": retained, "rejected": rejected,
         "volume": volume, "threshold": threshold,
@@ -88,15 +85,14 @@ def glm_bundle():
     t0 = _time.monotonic()
     x, y = gen_regression_1d(2000, derive_seed(5, "data"))
     config = TrainConfig(epochs=150, batch_size=128)
-    mu, sigma, model = glm_fit_and_predict(x, y, config,
-                                           Rng(derive_seed(5, "init")))
+    model = glm_fit_and_predict(x, y, config, Rng(derive_seed(5, "init")))
     grid = np.linspace(-3.0, 3.0, 400)
     grid_mu, grid_sigma = model.predict(grid)
     fresh = (regression_true_mean(grid)
              + Rng(derive_seed(6, "data")).normals(grid.size)
              * regression_true_std(grid))
     return {
-        "x": x, "y": y, "mu": mu, "sigma": sigma, "model": model,
+        "x": x, "y": y, "model": model,
         "grid": grid, "grid_mu": grid_mu, "grid_sigma": grid_sigma,
         "fresh_draws": fresh, "seconds": _time.monotonic() - t0,
     }

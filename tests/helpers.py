@@ -2,7 +2,8 @@
 and Monte Carlo pseudo-count oracles, AUC brute force, and code the package
 replaced, kept as bit-exact references: the masked activations, the
 per-array and the six-vector Adam, the training pairs that cached every
-pre-activation, one-shot normals, one-pass inference and the per-scalar CSV
+pre-activation, the training loop that evaluated the full set after every
+epoch, one-shot normals, one-pass inference and the per-scalar CSV
 formatters."""
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import mpmath as mp
 import numpy as np
 
 from cccpde.bayes import OVERFLOW_LOG, UNDERFLOW_LOG
+from cccpde.data import Standardizer
 from cccpde.errors import DomainError, NumericError
 from cccpde.flow import gaussian_logpdf
-from cccpde.nn import LAYER_NORM_EPS, LEAKY_SLOPE, DenseBlock, MLP
+from cccpde.model import CccpDeModel
+from cccpde.nn import LAYER_NORM_EPS, LEAKY_SLOPE, AdamState, DenseBlock, MLP
 from cccpde.numerics import log_gamma
 
 
@@ -421,6 +424,31 @@ def reference_cccpde_loss_and_grads(model, x, labels, rng):
     disc_loss, g_disc = model.disc.loss_and_grads(base_out, labels, rng)
     model.base.backward(g_base_out + g_disc, np.full(n, -w_flow))
     return flow_nll / n + disc_loss
+
+
+def reference_train(model, dataset, config, rng):
+    """`model.train` as it evaluated the inference-mode loss on the full
+    training set after every epoch; returns that per-epoch trace, whose
+    last entry is `train`'s final loss."""
+    features, labels = dataset.features, dataset.labels
+    model.standardizer = Standardizer.fit(features)
+    if isinstance(model, CccpDeModel):
+        counts = np.bincount(labels, minlength=2).astype(np.float64)
+        model.class_counts = counts
+        model.class_priors = counts / counts.sum()
+    adam = AdamState(config.learning_rate)
+    params = model.params()
+    n = dataset.n_rows
+    trace = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            adam.zero_grad(params)
+            model.loss_and_grads(features[idx], labels[idx], rng=rng)
+            adam.step(params)
+        trace.append(model.eval_loss(features, labels))
+    return trace
 
 
 def one_pass_stack_call(stack, x):

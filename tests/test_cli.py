@@ -11,7 +11,13 @@ import cccpde.cli as cli
 import cccpde.evaluate as ev
 from cccpde.bayes import BetaPosterior, posterior_reports
 from cccpde.cli import build_parser, main
-from cccpde.data import load_csv, regression_true_mean
+from cccpde.data import (
+    composite_components,
+    gen_mixture,
+    load_csv,
+    regression_true_mean,
+    save_csv,
+)
 from cccpde.model import load_model, save_model
 from cccpde.serialize import read_state, write_state
 
@@ -107,14 +113,16 @@ class TestTrain:
         assert run("train", "--model", "ffnn",
                    "--data", toy_run["data"] / "train.csv", "--out", out,
                    "--epochs", 3, "--hidden", 8) == 0
-        reference_write_trace_csv(traces[0], tmp_path / "old.csv")
+        reference_write_trace_csv(traces[0][0], tmp_path / "old.csv")
         new = out.with_suffix(".trace.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert new.count(b"\n") == 1 + 3
 
     def test_reload_reproduces_final_loss(self, toy_run):
-        trace = (toy_run["cc"].with_suffix(".trace.csv")).read_text().splitlines()
-        final = float(trace[-1].split(",")[1])
+        text = toy_run["cc"].with_suffix(".final_loss.txt").read_text()
+        key, value = text.split(" = ")
+        assert key == "final_loss"
+        final = float(value)
         model = load_model(toy_run["cc"])
         ds = load_csv(toy_run["data"] / "train.csv")
         again = model.eval_loss(ds.features, ds.labels)
@@ -163,6 +171,21 @@ class TestTrain:
                 "--no-standardize")
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rows, value", [(1, 1e160), (2, 1e308)],
+                             ids=["std-overflows", "mean-overflows"])
+    def test_non_finite_standardizer_is_runtime_error(self, tmp_path, capsys,
+                                                      rows, value):
+        ds = gen_mixture(composite_components(100), seed=53)
+        ds.features[:rows, 1] = value
+        data = tmp_path / "huge.csv"
+        save_csv(ds, data)
+        out = tmp_path / "m" / "model.bin"
+        assert run("train", "--model", "cccpde", "--data", data, "--out", out,
+                   "--epochs", 1, "--hidden", 4) == 1
+        assert "feature column 'f1' has no finite mean and std" in \
+            capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [data]
 
     def test_missing_data_is_runtime_error(self, tmp_path):
         assert run("train", "--model", "ffnn", "--data",
@@ -484,9 +507,8 @@ class TestGlmDemo:
         models = []
 
         def recording_fit(*args, **kwargs):
-            result = cli_fit(*args, **kwargs)
-            models.append(result[2])
-            return result
+            models.append(cli_fit(*args, **kwargs))
+            return models[-1]
 
         cli_fit = cli.glm_fit_and_predict
         monkeypatch.setattr(cli, "glm_fit_and_predict", recording_fit)

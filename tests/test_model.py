@@ -10,7 +10,12 @@ import pytest
 
 import cccpde.evaluate as ev
 from cccpde.bayes import BetaPosterior
-from cccpde.data import Standardizer, gen_mixture, overlap_components
+from cccpde.data import (
+    Standardizer,
+    composite_components,
+    gen_mixture,
+    overlap_components,
+)
 from cccpde.errors import (
     DomainError,
     ModelChecksumError,
@@ -44,6 +49,7 @@ from helpers import (
     one_pass_logits,
     one_pass_stack_call,
     one_pass_stack_inverse,
+    reference_train,
     rel_err,
     worst_param_grad_err,
 )
@@ -319,12 +325,20 @@ class TestJointLoss:
     def test_loss_decreases_over_early_steps(self):
         ds = gen_mixture([(0, (-2.0, 0.0), 0.25, 128),
                           (1, (2.0, 0.0), 0.25, 128)], seed=17)
-        model = CccpDeModel(2, 2, hidden=32, rng=Rng(derive_seed(18, "init")))
-        # full-batch steps so the per-epoch trace is one step per entry
-        trace = train(model, ds, TrainConfig(epochs=50, batch_size=256),
-                      Rng(derive_seed(18, "shuffle")))
+        config = TrainConfig(epochs=50, batch_size=256)
+        model, twin = (CccpDeModel(2, 2, hidden=32,
+                                   rng=Rng(derive_seed(18, "init")))
+                       for _ in range(2))
+        # full-batch steps, each followed by the inference-mode loss on the
+        # full set, so the trace is one step per entry
+        trace = reference_train(model, ds, config,
+                                Rng(derive_seed(18, "shuffle")))
         drops = sum(b < a for a, b in zip(trace, trace[1:]))
         assert drops >= 0.8 * (len(trace) - 1)
+        # the per-epoch passes change no parameter of the model `train` makes
+        train(twin, ds, config, Rng(derive_seed(18, "shuffle")))
+        for p, q in zip(model.params(), twin.params()):
+            assert p.value.tobytes() == q.value.tobytes()
 
 
 class TestTraining:
@@ -420,6 +434,91 @@ class TestTraining:
         assert np.array_equal(model.class_counts, [30.0, 90.0])
         assert np.allclose(model.class_priors, [0.25, 0.75])
 
+    @pytest.mark.parametrize("build, dim", [
+        (lambda dim: FfnnModel(dim, 16, 2, 0.1, Rng(derive_seed(42, "init"))), 2),
+        (lambda dim: CccpDeModel(dim, 2, hidden=16, dropout_rate=0.1,
+                                 rng=Rng(derive_seed(42, "init"))), 2),
+        (lambda dim: CccpDeModel(dim, 2, hidden=16, dropout_rate=0.1,
+                                 rng=Rng(derive_seed(42, "init"))), 16),
+    ], ids=["ffnn-d2", "cccpde-d2", "cccpde-d16"])
+    def test_bits_match_per_epoch_eval_reference(self, build, dim):
+        centers = np.eye(dim)[0]
+        ds = gen_mixture([(0, -centers, 0.5, 90), (1, centers, 0.8, 110)],
+                         seed=43)
+        config = TrainConfig(epochs=4, batch_size=48)
+        model, ref = build(dim), build(dim)
+        _, final = train(model, ds, config, Rng(derive_seed(42, "shuffle")))
+        ref_trace = reference_train(ref, ds, config,
+                                    Rng(derive_seed(42, "shuffle")))
+        assert final == ref_trace[-1]
+        for (name, a), (_, b) in zip(model.state_arrays(), ref.state_arrays()):
+            assert a.tobytes() == b.tobytes(), name
+
+    @both_models
+    def test_trace_is_row_weighted_minibatch_mean(self, build, monkeypatch):
+        model = build()
+        losses = []
+        original = type(model).loss_and_grads
+
+        def recording(self, x, y, rng=None):
+            losses.append((original(self, x, y, rng=rng), x.shape[0]))
+            return losses[-1][0]
+
+        monkeypatch.setattr(type(model), "loss_and_grads", recording)
+        ds = gen_mixture([(0, (-1.0, 0.0), 0.5, 45),
+                          (1, (1.0, 0.5), 0.5, 55)], seed=44)
+        # 100 rows in batches of 32: three of 32 and one of 4 per epoch
+        trace, _ = train(model, ds, TrainConfig(epochs=3, batch_size=32),
+                         Rng(45))
+        assert len(losses) == 3 * 4
+        for epoch, entry in enumerate(trace):
+            batches = losses[4 * epoch:4 * epoch + 4]
+            assert [rows for _, rows in batches] == [32, 32, 32, 4]
+            assert entry == pytest.approx(
+                sum(loss * rows for loss, rows in batches) / 100, rel=1e-14)
+
+    def test_final_loss_is_one_full_set_eval(self, monkeypatch):
+        calls = []
+        original = CccpDeModel.eval_loss
+
+        def counting(self, x, y):
+            calls.append(x.shape[0])
+            return original(self, x, y)
+
+        monkeypatch.setattr(CccpDeModel, "eval_loss", counting)
+        ds = gen_mixture([(0, (0.0, 0.0), 1.0, 30),
+                          (1, (1.0, 1.0), 1.0, 34)], seed=46)
+        model = small_model(dim=2, seed=47)
+        _, final = train(model, ds, TrainConfig(epochs=3, batch_size=16),
+                         Rng(48))
+        assert calls == [64]
+        assert final == original(model, ds.features, ds.labels)
+
+    @both_models
+    def test_constant_column_warning_points_at_caller(self, build):
+        ds = gen_mixture([(0, (0.0, 2.0), 1.0, 20),
+                          (1, (1.0, 2.0), 1.0, 20)], seed=49)
+        ds.features[:, 1] = 2.0
+        with pytest.warns(UserWarning, match=r"dimensions \[1\] are constant") \
+                as record:
+            train(build(), ds, TrainConfig(epochs=1), Rng(50))
+        assert [w.filename for w in record] == [__file__]
+
+    @both_models
+    @pytest.mark.parametrize("rows, value", [(1, 1e160), (2, 1e308)],
+                             ids=["std-overflows", "mean-overflows"])
+    def test_non_finite_standardizer_refused(self, build, monkeypatch,
+                                             rows, value):
+        steps = []
+        monkeypatch.setattr(AdamState, "step",
+                            lambda self, params: steps.append(1))
+        ds = gen_mixture(composite_components(100), seed=51)
+        ds.features[:rows, 1] = value
+        with pytest.raises(DomainError, match="feature column 'f1' has no "
+                                              "finite mean and std"):
+            train(build(), ds, TrainConfig(epochs=1), Rng(52))
+        assert steps == []
+
 
 class TestTrainedQuality:
     def test_separable_ratio_accuracy(self, separable_bundle):
@@ -458,16 +557,18 @@ class TestGlm:
     def test_constant_targets_collapse_sigma(self):
         x = np.linspace(-3.0, 3.0, 400)
         y = np.full(400, 5.0)
-        _, sigma, _ = glm_fit_and_predict(
+        model = glm_fit_and_predict(
             x, y, TrainConfig(epochs=200, batch_size=128), Rng(28))
+        _, sigma = model.predict(x)
         assert np.median(sigma) < 0.05
 
     def test_homoscedastic_sigma_recovered(self):
         rng = Rng(29)
         x = 6.0 * rng.uniforms(2000) - 3.0
         y = np.sin(x) + 0.5 * rng.normals(2000)
-        _, sigma, _ = glm_fit_and_predict(
+        model = glm_fit_and_predict(
             x, y, TrainConfig(epochs=120, batch_size=128), Rng(30))
+        _, sigma = model.predict(x)
         assert 0.4 <= np.median(sigma) <= 0.6
 
     def test_empty_data_rejected(self):
@@ -664,6 +765,20 @@ class TestLoaderChecks:
         path = tmp_path / "model.bin"
         save_model(small_model(dim=3, seed=38), path)
         kind, meta, arrays = read_state(path)
+        arrays = [(n, np.array(values) if n == name else a)
+                  for n, a in arrays]
+        with pytest.raises(ModelFormatError, match=re.escape(name)):
+            self.rewrite_and_load(path, kind, meta, arrays)
+
+    @pytest.mark.parametrize("name, values", [
+        *(("class_counts", [v, 100.0]) for v in (np.nan, np.inf, 0.0, -1.0)),
+        *(("class_priors", [v, 0.5]) for v in (np.nan, np.inf, 0.0, -1.0)),
+        ("class_priors", [0.25, 1.5]),
+    ], ids=["counts-nan", "counts-inf", "counts-zero", "counts-negative",
+            "priors-nan", "priors-inf", "priors-zero", "priors-negative",
+            "priors-above-one"])
+    def test_class_arrays_out_of_range(self, tmp_path, name, values):
+        path, (kind, meta, arrays) = self.stored(tmp_path)
         arrays = [(n, np.array(values) if n == name else a)
                   for n, a in arrays]
         with pytest.raises(ModelFormatError, match=re.escape(name)):
