@@ -70,7 +70,7 @@ class FfnnModel:
 
     def __init__(self, dim: int, hidden: int = 64, n_blocks: int = 4,
                  dropout_rate: float = 0.05, rng: Rng | None = None):
-        _check_network(hidden >= 1 and n_blocks >= 1, dropout_rate)
+        _check_network(min(dim, hidden, n_blocks) >= 1, dropout_rate)
         self.dim = dim
         self.hidden = hidden
         self.n_blocks = n_blocks
@@ -99,18 +99,6 @@ class FfnnModel:
         return (_sigmoid_head_arrays("block", "out", self.head)
                 + _standardizer_arrays(self.standardizer))
 
-    def to_state(self) -> tuple[dict, list]:
-        meta = {
-            "dim": self.dim, "hidden": self.hidden, "n_blocks": self.n_blocks,
-            "dropout": self.dropout_rate,
-            "has_standardizer": 1.0,
-        }
-        return meta, self.state_arrays()
-
-    @classmethod
-    def from_state(cls, meta: dict, arrays: list) -> "FfnnModel":
-        return _build(cls, meta, arrays, "dim", "hidden", "n_blocks")
-
 
 class CccpDeModel:
     """Shared coupling base, one coupling head per class, sigmoid side head.
@@ -119,9 +107,9 @@ class CccpDeModel:
     the unit-Gaussian latent at the head output. The sigmoid head reads the
     base output through dense blocks; its loss propagates into the base.
     The training loss is the unweighted sum of the mean flow NLL and the
-    sigmoid head's BCE. The detector is binary: classes 0 and 1.
-    `n_classes` keeps its positional slot and its model-file key, and
-    accepts only 2.
+    sigmoid head's BCE. The detector is binary: classes 0 and 1, so
+    `n_classes` accepts only 2 and the model file does not store it. The
+    slot stays because `bench/micro.py` passes that 2 positionally.
     """
 
     def __init__(self, dim: int, n_classes: int = 2, hidden: int = 64,
@@ -135,6 +123,8 @@ class CccpDeModel:
                        and base_depth >= 0, dropout_rate)
         self.dim = dim
         self.hidden = hidden
+        self.base_depth, self.head_depth = base_depth, head_depth
+        self.disc_blocks = disc_blocks
         self.base = FlowStack.build(dim, base_depth, hidden, rng)
         self.heads = [FlowStack.build(dim, head_depth, hidden, rng)
                       for _ in range(2)]
@@ -142,8 +132,12 @@ class CccpDeModel:
         self.dropout_rate = dropout_rate
         # one row per class until `train` sets them, so the file loads
         self.class_counts = np.ones(2)
-        self.class_priors = np.full(2, 0.5)
         self.standardizer = Standardizer(np.zeros(dim), np.ones(dim))
+
+    @property
+    def class_priors(self) -> np.ndarray:
+        """Class base rates N_k / sum(N), derived from the class counts."""
+        return self.class_counts / self.class_counts.sum()
 
     # -- forward passes ----------------------------------------------------
 
@@ -223,29 +217,12 @@ class CccpDeModel:
 
     def state_arrays(self) -> list:
         """Stored arrays in file order, mapped to the live arrays."""
-        out = [("class_counts", self.class_counts),
-               ("class_priors", self.class_priors)]
+        out = [("class_counts", self.class_counts)]
         out += _flow_stack_arrays("base", self.base)
         for k, head in enumerate(self.heads):
             out += _flow_stack_arrays(f"head{k}", head)
         return (out + _sigmoid_head_arrays("disc", "disc/out", self.disc)
                 + _standardizer_arrays(self.standardizer))
-
-    def to_state(self) -> tuple[dict, list]:
-        meta = {
-            "dim": self.dim, "n_classes": 2, "hidden": self.hidden,
-            "base_depth": len(self.base.layers),
-            "head_depth": len(self.heads[0].layers),
-            "disc_blocks": len(self.disc.blocks),
-            "dropout": self.dropout_rate,
-            "has_standardizer": 1.0,
-        }
-        return meta, self.state_arrays()
-
-    @classmethod
-    def from_state(cls, meta: dict, arrays: list) -> "CccpDeModel":
-        return _build(cls, meta, arrays, "dim", "n_classes", "hidden",
-                      "base_depth", "head_depth", "disc_blocks")
 
 
 class GlmRegressor:
@@ -289,10 +266,10 @@ def train(model, dataset: Dataset, config: TrainConfig,
           rng: Rng) -> tuple[list[float], float]:
     """Minibatch Adam over shuffled epochs; returns (trace, final loss).
 
-    The model's standardizer, and a density estimator's class counts and
-    priors, are first set from the training set. Trace entries are the
-    epochs' training-mode minibatch losses, row-weighted; the final loss is
-    one inference-mode pass over the training set, which a reloaded model
+    The model's standardizer, and a density estimator's class counts, are
+    first set from the training set. Trace entries are the epochs'
+    training-mode minibatch losses, row-weighted; the final loss is one
+    inference-mode pass over the training set, which a reloaded model
     reproduces exactly.
     """
     if dataset.n_rows == 0:
@@ -312,7 +289,6 @@ def train(model, dataset: Dataset, config: TrainConfig,
         warnings.warn(warning.message, stacklevel=2)
     if isinstance(model, CccpDeModel):
         model.class_counts = counts
-        model.class_priors = counts / counts.sum()
     trace = _adam_epochs(model, features, labels, config, rng)
     return trace, model.eval_loss(features, labels)
 
@@ -350,70 +326,72 @@ def _adam_epochs(model, x, y, config: TrainConfig, rng: Rng) -> list[float]:
     return trace
 
 
-# -- persistence helpers -----------------------------------------------------
+# -- persistence -------------------------------------------------------------
 
-# the kind byte of a model file -> the class it stores
-_MODEL_KINDS = {1: FfnnModel, 2: CccpDeModel}
+# the kind byte of a model file -> the class it stores and the constructor
+# keywords that its metadata holds as whole numbers; every kind also stores
+# its `dropout_rate`
+_MODEL_KINDS = {
+    1: (FfnnModel, ("dim", "hidden", "n_blocks")),
+    2: (CccpDeModel, ("dim", "hidden", "base_depth", "head_depth",
+                      "disc_blocks")),
+}
 
 
 def save_model(model, path) -> None:
     """Write a model file; load_model(path) reproduces it bit-exactly."""
-    meta, arrays = model.to_state()
-    kind_code = next(code for code, cls in _MODEL_KINDS.items()
-                     if type(model) is cls)
-    write_state(path, kind_code, meta, arrays)
+    kind_code, sizes = next((code, sizes) for code, (cls, sizes)
+                            in _MODEL_KINDS.items() if type(model) is cls)
+    meta = {key: getattr(model, key) for key in sizes + ("dropout_rate",)}
+    write_state(path, kind_code, meta, model.state_arrays())
 
 
 def load_model(path):
+    """Build a model from a file's metadata by keyword, then copy in its
+    arrays under one rule: dtype and shape match, values are finite, the
+    standardizer std and class counts are positive, and each `*/perm` is a
+    permutation. A refused metadata key or array is named."""
     kind_code, meta, arrays = read_state(path)
-    cls = _MODEL_KINDS.get(kind_code)
-    if cls is None:
+    if kind_code not in _MODEL_KINDS:
         raise ModelFormatError(f"unknown model kind code {kind_code}")
-    return cls.from_state(meta, arrays)
-
-
-# stored arrays with a value rule: name -> (rule text, elementwise test)
-_ARRAY_RULES = {
-    "standardizer/mean": ("finite", np.isfinite),
-    "standardizer/std": ("positive and finite", lambda a: (a > 0) & (a < np.inf)),
-    "class_counts": ("positive and finite", lambda a: (a > 0) & (a < np.inf)),
-    "class_priors": ("positive and at most 1", lambda a: (a > 0) & (a <= 1)),
-}
-
-
-def _build(cls, meta: dict, arrays: list, *sizes: str):
-    """Build a model from the size keys and dropout of a model file's
-    metadata, then copy in the file's arrays, checking each."""
-    for key in sizes + ("dropout",):
+    cls, sizes = _MODEL_KINDS[kind_code]
+    keys = sizes + ("dropout_rate",)
+    for key in keys:
         if key not in meta:
             raise ModelFormatError(f"model file is missing metadata {key!r}")
+    unexpected = sorted(set(meta) - set(keys))
+    if unexpected:
+        raise ModelFormatError(f"model file has unexpected metadata: {unexpected}")
+    for key in sizes:
+        if not meta[key].is_integer():
+            raise ModelFormatError(
+                f"metadata {key!r} is not a whole number, got {meta[key]}")
     try:
-        model = cls(*(int(meta[key]) for key in sizes), meta["dropout"])
+        model = cls(**{key: int(meta[key]) for key in sizes},
+                    dropout_rate=meta["dropout_rate"])
     except DomainError as exc:
         raise ModelFormatError(f"model file metadata: {exc}") from None
-    live_arrays = model.state_arrays()
-    if not meta.get("has_standardizer"):
-        # a file saved without a standardizer loads with the identity one
-        live_arrays = [(name, live) for name, live in live_arrays
-                       if not name.startswith("standardizer/")]
     stored = {}
     for name, arr in arrays:
         if name in stored:
             raise ModelFormatError(f"duplicate array {name!r}")
         stored[name] = arr
-    for name, live in live_arrays:
+    for name, live in model.state_arrays():
         if name not in stored:
             raise ModelFormatError(f"model file is missing array {name!r}")
         arr = stored.pop(name)
-        if arr.shape != live.shape:
+        if arr.dtype != live.dtype or arr.shape != live.shape:
             raise ModelFormatError(
-                f"array {name!r} has shape {arr.shape}, expected {live.shape}")
-        if name.endswith("/perm") and sorted(arr.tolist()) != list(range(arr.size)):
+                f"array {name!r} is {arr.dtype} of shape {arr.shape}, "
+                f"expected {live.dtype} of shape {live.shape}")
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(f"array {name} is not finite")
+        if name in ("standardizer/std", "class_counts") and not (arr > 0).all():
+            raise ModelFormatError(f"array {name} is not positive")
+        if name.endswith("/perm") and not np.array_equal(np.sort(arr),
+                                                         np.arange(arr.size)):
             raise ModelFormatError(
                 f"array {name} is not a permutation of range({arr.size})")
-        rule = _ARRAY_RULES.get(name)
-        if rule is not None and not np.all(rule[1](arr)):
-            raise ModelFormatError(f"array {name} is not {rule[0]}")
         live[...] = arr
     if stored:
         raise ModelFormatError(

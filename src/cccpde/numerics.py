@@ -58,12 +58,8 @@ class Rng:
             raise DomainError(f"draw count must be nonnegative, got {n}")
         return self._bits.random_raw(n)
 
-    def random(self) -> float:
-        """One uniform draw in [0, 1) with 53 random bits."""
-        return (self._bits.random_raw() >> 11) * _DOUBLE_SCALE
-
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniform draws in [0, 1), identical to n calls of random()."""
+        """n uniform draws in [0, 1), each from the top 53 bits of one raw draw."""
         return (self._raw(n) >> 11) * _DOUBLE_SCALE
 
     def normals(self, n: int) -> np.ndarray:
@@ -85,17 +81,6 @@ class Rng:
             block[0::2] = radius * np.cos(angle)
             block[1::2] = radius * np.sin(angle)
         return z[:n]
-
-    def randint_below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (no modulo bias)."""
-        if n <= 0:
-            raise DomainError(f"randint_below requires n >= 1, got {n}")
-        span = _MASK64 + 1
-        limit = span - span % n
-        while True:
-            r = self._bits.random_raw()
-            if r < limit:
-                return r % n
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n): the order of n raw draws."""

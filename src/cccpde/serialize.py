@@ -3,7 +3,7 @@
 Layout, all little-endian:
 
     8s   magic  b"CCPDEBIN"
-    u32  format version (currently 1)
+    u32  format version (currently 2)
     u64  total file length in bytes
     u8   model kind code
     u32  metadata entry count, then per entry:
@@ -14,9 +14,9 @@ Layout, all little-endian:
            u32 per-dimension sizes, raw values little-endian
     u32  CRC-32 of every byte before this field
 
-Values round-trip bit-exactly; permutations and class statistics travel as
-int64/float64 arrays. Distinct errors cover wrong magic, unsupported
-version, length mismatch (truncation), and checksum failure.
+Values round-trip bit-exactly; `model.py` decides which keys and arrays a
+file holds. Distinct errors cover wrong magic, any other version (format 1
+included), length mismatch (truncation), and checksum failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
 )
 
 MAGIC = b"CCPDEBIN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPE_CODES = {0: np.float64, 1: np.int64}
 _CODES_BY_DTYPE = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}

@@ -330,6 +330,25 @@ def reference_normals(rng, n):
     return z[:n]
 
 
+def rng_random(rng) -> float:
+    """One uniform draw in [0, 1) from the top 53 bits of one raw draw of
+    `rng`: the scalar form of `Rng.uniforms`."""
+    return (rng._bits.random_raw() >> 11) * 2.0 ** -53
+
+
+def rng_randint_below(rng, n: int) -> int:
+    """Uniform integer in [0, n) from raw draws of `rng`, by rejection
+    (no modulo bias)."""
+    if n <= 0:
+        raise DomainError(f"randint_below requires n >= 1, got {n}")
+    span = 1 << 64
+    limit = span - span % n
+    while True:
+        r = rng._bits.random_raw()
+        if r < limit:
+            return r % n
+
+
 def reference_dropout(x, rate, rng):
     """Training-mode `nn.dropout` with its keep mask as float64 ones and zeros."""
     mask = (rng.uniforms(x.size).reshape(x.shape) >= rate).astype(np.float64)
@@ -435,7 +454,6 @@ def reference_train(model, dataset, config, rng):
     if isinstance(model, CccpDeModel):
         counts = np.bincount(labels, minlength=2).astype(np.float64)
         model.class_counts = counts
-        model.class_priors = counts / counts.sum()
     adam = AdamState(config.learning_rate)
     params = model.params()
     n = dataset.n_rows

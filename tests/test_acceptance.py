@@ -37,6 +37,7 @@ from helpers import (
     numerical_coupling_logdet,
     random_coupling,
     rel_err,
+    rng_randint_below,
     worst_param_grad_err,
 )
 from test_bayes import beta_cdf_oracle
@@ -70,7 +71,7 @@ def test_criterion_02_jacobian_oracle():
     rng = Rng(7000)
     worst = 0.0
     for i in range(50):
-        dim = 2 + rng.randint_below(5)  # 2..6
+        dim = 2 + rng_randint_below(rng, 5)  # 2..6
         layer = random_coupling(dim, 6, rng)
         x = rng.normals(dim)
         _, log_det = layer.forward(x[None, :])
@@ -206,7 +207,7 @@ def test_criterion_05_auc_oracle():
     rng = Rng(7400)
     worst = 0.0
     for i in range(200):
-        n = 2 + rng.randint_below(199)
+        n = 2 + rng_randint_below(rng, 199)
         if i % 2 == 0:
             scores = np.round(rng.uniforms(n) * 8.0) / 8.0  # force ties
         else:

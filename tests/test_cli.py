@@ -450,6 +450,19 @@ class TestFailedRunWritesNothing:
         assert "standardizer/std" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_on_nan_weight(self, toy_run, tmp_path, capsys):
+        kind, meta, arrays = read_state(toy_run["cc"])
+        name = "head1/0/shift/1/weight"
+        model = tmp_path / "bad.bin"
+        write_state(model, kind, meta,
+                    [(n, np.where(a == a.flat[0], np.nan, a) if n == name
+                      else a) for n, a in arrays])
+        out = tmp_path / "out"
+        assert run("eval", "--model", model,
+                   "--data", toy_run["data"] / "test.csv", "--out", out) == 1
+        assert f"array {name} is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSampleAndGrid:
     def test_sample_rows_and_density(self, toy_run, tmp_path):

@@ -15,6 +15,8 @@ from helpers import (
     reference_write_density_grid_csv,
     reference_write_reports_csv,
     reference_write_roc_csv,
+    rng_randint_below,
+    rng_random,
     special_floats,
 )
 
@@ -66,7 +68,7 @@ class TestRocAuc:
     def test_matches_bruteforce_with_ties(self):
         rng = Rng(101)
         for _ in range(30):
-            n = 2 + rng.randint_below(199)
+            n = 2 + rng_randint_below(rng, 199)
             scores = np.round(rng.uniforms(n) * 10.0) / 10.0
             labels = (rng.uniforms(n) > 0.5).astype(int)
             if labels.min() == labels.max():
@@ -171,8 +173,8 @@ class TestFiltering:
         rng = Rng(103)
         intervals = []
         for _ in range(40):
-            lo = 0.4 * rng.random()
-            intervals.append((lo, lo + 0.6 * rng.random()))
+            lo = 0.4 * rng_random(rng)
+            intervals.append((lo, lo + 0.6 * rng_random(rng)))
         previous = set()
         for threshold in (0.05, 0.1, 0.2, 0.4, 0.8):
             batch = make_batch(intervals, threshold)

@@ -34,7 +34,7 @@ from cccpde.model import (
     save_model,
     train,
 )
-from cccpde.flow import FlowStack, gaussian_logpdf
+from cccpde.flow import FlowStack
 from cccpde.nn import (
     BLOCK_ROWS,
     AdamState,
@@ -43,7 +43,7 @@ from cccpde.nn import (
     bce_with_logits,
 )
 from cccpde.numerics import Rng, derive_seed
-from cccpde.serialize import read_state, write_state
+from cccpde.serialize import FORMAT_VERSION, read_state, write_state
 
 from helpers import (
     one_pass_logits,
@@ -434,6 +434,22 @@ class TestTraining:
         assert np.array_equal(model.class_counts, [30.0, 90.0])
         assert np.allclose(model.class_priors, [0.25, 0.75])
 
+    def test_class_priors_derived_from_counts(self, tmp_path):
+        # the priors are not stored: the counts give them, bit for bit,
+        # before and after a save
+        ds = gen_mixture([(0, (0.0, 0.0), 1.0, 37),
+                          (1, (1.0, 1.0), 1.0, 74)], seed=27)
+        model = small_model(dim=2, seed=28)
+        assert model.class_priors.tolist() == [0.5, 0.5]
+        train(model, ds, TrainConfig(epochs=1, batch_size=64), Rng(29))
+        counts = np.bincount(ds.labels, minlength=2).astype(np.float64)
+        want = (counts / counts.sum()).tobytes()
+        save_model(model, tmp_path / "model.bin")
+        back = load_model(tmp_path / "model.bin")
+        assert model.class_priors.tobytes() == back.class_priors.tobytes() == want
+        with pytest.raises(AttributeError):
+            model.class_priors = np.array([0.5, 0.5])
+
     @pytest.mark.parametrize("build, dim", [
         (lambda dim: FfnnModel(dim, 16, 2, 0.1, Rng(derive_seed(42, "init"))), 2),
         (lambda dim: CccpDeModel(dim, 2, hidden=16, dropout_rate=0.1,
@@ -604,43 +620,47 @@ class TestSerialization:
         probes = Rng(34).normals(40).reshape(20, 2)
         assert np.array_equal(back.score(probes), model.score(probes))
 
-    @staticmethod
-    def save_without_standardizer(model, path):
-        """A format-1 file as saved from a model that had no standardizer:
-        `has_standardizer` 0 and no standardizer arrays."""
-        save_model(model, path)
-        kind, meta, arrays = read_state(path)
-        write_state(path, kind, {**meta, "has_standardizer": 0.0},
-                    [(name, arr) for name, arr in arrays
-                     if not name.startswith("standardizer/")])
+    def test_file_layout(self, tmp_path):
+        """The model file layout, pinned: kind byte, metadata keys, and each
+        array's name, dtype and ndim in file order. A change to the layout
+        edits this list and bumps FORMAT_VERSION once, as ROADMAP's coupling
+        rules ask of the items that change the model file."""
+        def coupling(prefix):
+            return [(f"{prefix}/perm", "int64", 1)] + [
+                (f"{prefix}/{net}/{j}/{part}", "float64", ndim)
+                for net in ("scale", "shift") for j in range(3)
+                for part, ndim in (("weight", 2), ("bias", 1))]
 
-    def test_file_without_standardizer_keeps_raw_space_bits(self, tmp_path):
-        cc_path, ffnn_path = tmp_path / "cc.bin", tmp_path / "ffnn.bin"
-        self.save_without_standardizer(perturbed(small_model(dim=3), 43),
-                                       cc_path)
-        self.save_without_standardizer(
-            perturbed(FfnnModel(3, 6, 2, 0.0, Rng(44)), 45), ffnn_path)
-        cc, ffnn = load_model(cc_path), load_model(ffnn_path)
-        for model in (cc, ffnn):
-            assert np.array_equal(model.standardizer.mean, np.zeros(3))
-            assert np.array_equal(model.standardizer.std, np.ones(3))
-        x = 3.0 * Rng(46).normals(3 * 700).reshape(700, 3)
-        # the raw-space arithmetic: the networks on x itself, plus 0.0
-        base_out, log_det_base = cc.base(x)
-        log_d = np.empty((700, 2))
-        for k, head in enumerate(cc.heads):
-            z, log_det_head = head(base_out)
-            log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
-        log_d = log_d + 0.0
-        got_log_d, got_scores = cc.forward(x)
-        assert got_log_d.tobytes() == log_d.tobytes()
-        assert got_scores.tobytes() == cc.disc(base_out).tobytes()
-        assert cc.log_densities(x).tobytes() == log_d.tobytes()
-        assert ffnn.score(x).tobytes() == ffnn.head(x).tobytes()
-        for k in (0, 1):
-            want = cc.base.inverse(cc.heads[k].sample(Rng(47), 600))
-            got = cc.sample_class(k, Rng(47), 600)
-            assert got.tobytes() == want.tobytes()
+        def sigmoid_head(blocks, out):
+            return [(f"{blocks}/0/{part}", "float64", ndim)
+                    for part, ndim in (("dense/weight", 2), ("dense/bias", 1),
+                                       ("norm/gain", 1), ("norm/bias", 1))] + [
+                (f"{out}/weight", "float64", 2), (f"{out}/bias", "float64", 1)]
+
+        standardizer = [("standardizer/mean", "float64", 1),
+                        ("standardizer/std", "float64", 1)]
+        expected = {
+            "ffnn": (1, ["dim", "dropout_rate", "hidden", "n_blocks"],
+                     sigmoid_head("block", "out") + standardizer),
+            "cccpde": (2, ["base_depth", "dim", "disc_blocks", "dropout_rate",
+                           "head_depth", "hidden"],
+                       [("class_counts", "float64", 1)] + coupling("base/0")
+                       + coupling("head0/0") + coupling("head1/0")
+                       + sigmoid_head("disc", "disc/out") + standardizer),
+        }
+        models = {
+            "ffnn": FfnnModel(2, hidden=4, n_blocks=1, rng=Rng(1)),
+            "cccpde": CccpDeModel(2, hidden=4, base_depth=1, head_depth=1,
+                                  disc_blocks=1, rng=Rng(2)),
+        }
+        assert FORMAT_VERSION == 2
+        for name, model in models.items():
+            path = tmp_path / f"{name}.bin"
+            save_model(model, path)
+            assert path.read_bytes()[8:12] == FORMAT_VERSION.to_bytes(4, "little")
+            kind, meta, arrays = read_state(path)
+            layout = [(n, a.dtype.name, a.ndim) for n, a in arrays]
+            assert (kind, sorted(meta), layout) == expected[name], name
 
     def test_corrupted_byte_is_checksum_error(self, tmp_path):
         model = small_model(dim=2, seed=35)
@@ -653,14 +673,16 @@ class TestSerialization:
             load_model(path)
 
     def test_future_version_is_version_error(self, tmp_path):
+        # format 1 is refused too: no reader for it is kept
         model = small_model(dim=2, seed=36)
         path = tmp_path / "model.bin"
-        save_model(model, path)
-        blob = bytearray(path.read_bytes())
-        blob[8:12] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ModelVersionError):
-            load_model(path)
+        for version in (1, 99):
+            save_model(model, path)
+            blob = bytearray(path.read_bytes())
+            blob[8:12] = version.to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ModelVersionError, match=f"version {version};"):
+                load_model(path)
 
     def test_truncated_file_is_truncation_error(self, tmp_path):
         model = small_model(dim=2, seed=37)
@@ -724,6 +746,16 @@ class TestLoaderChecks:
         with pytest.raises(ModelFormatError, match=re.escape(name)):
             self.rewrite_and_load(path, kind, meta, arrays)
 
+    @pytest.mark.parametrize("name, dtype", [
+        ("head0/0/perm", np.float64), ("disc/out/bias", np.int64),
+    ])
+    def test_wrong_dtype(self, tmp_path, name, dtype):
+        # an array in the other stored dtype is refused, not cast
+        path, (kind, meta, arrays) = self.stored(tmp_path)
+        arrays = [(n, a.astype(dtype) if n == name else a) for n, a in arrays]
+        with pytest.raises(ModelFormatError, match=re.escape(f"{name}' is")):
+            self.rewrite_and_load(path, kind, meta, arrays)
+
     @pytest.mark.parametrize("build", [
         lambda: small_model(dim=2, seed=38),
         lambda: FfnnModel(2, hidden=4, n_blocks=1, rng=Rng(39)),
@@ -732,19 +764,61 @@ class TestLoaderChecks:
         path = tmp_path / "model.bin"
         save_model(build(), path)
         kind, meta, arrays = read_state(path)
-        for key in sorted(set(meta) - {"has_standardizer"}):
+        for key in sorted(meta):
             dropped = {k: v for k, v in meta.items() if k != key}
             with pytest.raises(ModelFormatError,
                                match=re.escape(f"missing metadata {key!r}")):
                 self.rewrite_and_load(path, kind, dropped, arrays)
 
-    @pytest.mark.parametrize("n_classes", [1.0, 3.0])
-    def test_n_classes_other_than_two(self, tmp_path, n_classes):
+    @pytest.mark.parametrize("key, value", [
+        ("n_classes", 1.0), ("n_classes", 2.0), ("n_classes", 3.0),
+        ("has_standardizer", 1.0), ("dropout", 0.0),
+    ])
+    def test_unexpected_metadata(self, tmp_path, key, value):
+        # format-1 keys among them: the file stores each fact once
         path, (kind, meta, arrays) = self.stored(tmp_path)
-        assert meta["n_classes"] == 2
-        with pytest.raises(ModelFormatError, match="n_classes must be 2"):
-            self.rewrite_and_load(path, kind, {**meta, "n_classes": n_classes},
-                                  arrays)
+        assert key not in meta
+        with pytest.raises(ModelFormatError,
+                           match=re.escape(f"unexpected metadata: ['{key}']")):
+            self.rewrite_and_load(path, kind, {**meta, key: value}, arrays)
+
+    @both_models
+    def test_sizes_must_be_whole_and_in_range(self, tmp_path, build):
+        path = tmp_path / "model.bin"
+        save_model(build(), path)
+        kind, meta, arrays = read_state(path)
+        for key in sorted(set(meta) - {"dropout_rate"}):
+            for value in (np.nan, np.inf, -np.inf, 4.7, meta[key] + 0.9):
+                with pytest.raises(ModelFormatError, match=re.escape(
+                        f"metadata {key!r} is not a whole number")):
+                    self.rewrite_and_load(path, kind, {**meta, key: value},
+                                          arrays)
+            # a whole number that no model has: a named error, not numpy's
+            with pytest.raises(ModelFormatError, match="model file metadata"):
+                self.rewrite_and_load(path, kind, {**meta, key: -1.0}, arrays)
+
+    @both_models
+    def test_every_array_checked(self, tmp_path, build):
+        """Each stored float array in turn written as nan and inf, and the
+        standardizer std and class counts also as 0 and -1."""
+        path = tmp_path / "model.bin"
+        save_model(build(), path)
+        kind, meta, arrays = read_state(path)
+        floats = [i for i, (_, a) in enumerate(arrays) if a.dtype == np.float64]
+        assert len(floats) > 5
+        for i in floats:
+            name, arr = arrays[i]
+            bad = [np.nan, np.inf, -np.inf]
+            if name in ("standardizer/std", "class_counts"):
+                bad += [0.0, -1.0]
+            for value in bad:
+                broken = arr.copy()
+                broken.flat[-1] = value
+                with pytest.raises(ModelFormatError,
+                                   match=re.escape(f"array {name} is not")):
+                    self.rewrite_and_load(
+                        path, kind, meta,
+                        arrays[:i] + [(name, broken)] + arrays[i + 1:])
 
     def test_perm_not_a_permutation(self, tmp_path):
         path, (kind, meta, arrays) = self.stored(tmp_path)
@@ -778,8 +852,12 @@ class TestLoaderChecks:
             "priors-nan", "priors-inf", "priors-zero", "priors-negative",
             "priors-above-one"])
     def test_class_arrays_out_of_range(self, tmp_path, name, values):
+        """Bad class counts are refused; so is a stored `class_priors` of any
+        value, which the model derives from the counts instead."""
         path, (kind, meta, arrays) = self.stored(tmp_path)
-        arrays = [(n, np.array(values) if n == name else a)
-                  for n, a in arrays]
-        with pytest.raises(ModelFormatError, match=re.escape(name)):
+        arrays = [(n, a) for n, a in arrays if n != name]
+        arrays.append((name, np.array(values)))
+        expected = ("unexpected arrays: ['class_priors']"
+                    if name == "class_priors" else f"array {name} is not")
+        with pytest.raises(ModelFormatError, match=re.escape(expected)):
             self.rewrite_and_load(path, kind, meta, arrays)

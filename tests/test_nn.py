@@ -43,6 +43,7 @@ from helpers import (
     reference_layer_norm_standardize,
     reference_training_pairs,
     rel_err,
+    rng_randint_below,
     worst_param_grad_err,
 )
 
@@ -676,9 +677,9 @@ class TestBackwardProperty:
     def test_dense_layers(self):
         rng = Rng(60)
         for _ in range(20):
-            n_in = 1 + rng.randint_below(6)
-            n_out = 1 + rng.randint_below(6)
-            rows = 1 + rng.randint_below(5)
+            n_in = 1 + rng_randint_below(rng, 6)
+            n_out = 1 + rng_randint_below(rng, 6)
+            rows = 1 + rng_randint_below(rng, 5)
             layer = DenseLayer(n_in, n_out, rng)
             x = rng.normals(rows * n_in).reshape(rows, n_in)
             weights = rng.normals(rows * n_out).reshape(rows, n_out)
@@ -687,8 +688,8 @@ class TestBackwardProperty:
     def test_layer_norms(self):
         rng = Rng(61)
         for _ in range(20):
-            dim = 2 + rng.randint_below(7)
-            rows = 1 + rng.randint_below(5)
+            dim = 2 + rng_randint_below(rng, 7)
+            rows = 1 + rng_randint_below(rng, 5)
             norm = LayerNorm(dim)
             norm.gain.value[...] = 1.0 + 0.2 * rng.normals(dim)
             x = rng.normals(rows * dim).reshape(rows, dim)
@@ -704,9 +705,9 @@ class TestBackwardProperty:
     def test_mlps(self, out_act):
         rng = Rng(62)
         for _ in range(20):
-            sizes = [1 + rng.randint_below(4) for _ in range(3)]
+            sizes = [1 + rng_randint_below(rng, 4) for _ in range(3)]
             net = MLP(sizes, rng, output_activation=out_act)
-            rows = 1 + rng.randint_below(4)
+            rows = 1 + rng_randint_below(rng, 4)
             x = rng.normals(rows * sizes[0]).reshape(rows, sizes[0])
             weights = rng.normals(rows * sizes[-1]).reshape(rows, sizes[-1])
 

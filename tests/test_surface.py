@@ -36,6 +36,7 @@ REMOVED = {
     "bayes": ["beta_update", "mc_count_estimate", "ball_volume",
               "UncertaintyReport", "credible_interval", "_check_mass"],
     "numerics": ["finite_diff_grad"],
+    "numerics.Rng": ["random", "randint_below"],
     "nn": ["activation_grad"],
     "data": ["split"],
     "evaluate": ["_write_rows"],
@@ -43,9 +44,13 @@ REMOVED = {
     # the detector is binary
     "errors": ["UnsupportedError"],
     "data.Dataset": ["n_classes"],
-    "model.CccpDeModel": ["_check_labels", "record_class_stats"],
+    "model.CccpDeModel": ["_check_labels", "record_class_stats", "to_state",
+                          "from_state"],
     # one posterior path: every posterior is a PosteriorBatch
     "bayes.PosteriorBatch": ["row"],
+    # model file format 2: one schema table beside save_model/load_model
+    "model": ["_build", "_ARRAY_RULES"],
+    "model.FfnnModel": ["to_state", "from_state"],
 }
 
 
