@@ -6,12 +6,11 @@ artifacts, generative sampling, density-grid export, and the 1-D
 heteroscedastic regression demo.
 
 Each subcommand declares its settings once, in a table of
-`key: (default, type)`, every type int or float; every key is both a
-`--key-name` flag and a config key. Settings resolve in three layers:
-built-in defaults, then a flat `key = value` config file (`#` starts a
-comment), then explicit flags. Every run writes its fully resolved
-configuration next to its outputs, and makes no output path until its
-work is done, so a failed run leaves none behind.
+`key: (default, type)`, every type int or float; each key is a
+`--key-name` flag with that default. Flags are the only way to set a
+setting. Every run logs what it parsed, plus the values it derived, next
+to its outputs, and makes no output path until its work is done, so a
+failed run leaves none behind.
 All randomness flows from one root seed, split per subsystem by fixed
 labels (data/init/shuffle/sampling). Exit codes: 0 success, 2 usage
 error, 1 runtime error.
@@ -50,49 +49,11 @@ from .model import (
 from .numerics import Rng, derive_seed
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line {lineno} is not 'key = value': {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _convert(key: str, value: str, kind):
-    try:
-        return kind(value)
-    except ValueError:
-        raise DomainError(
-            f"config key {key!r} needs a {kind.__name__}, got {value!r}") from None
-
-
-def _resolve(args) -> dict:
-    """Defaults, overridden by config file, overridden by explicit flags."""
-    file_cfg = _parse_config_file(args.config) if args.config else {}
-    resolved = {}
-    for key, (default, kind) in args.settings.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = _convert(key, file_cfg[key], kind)
-        else:
-            resolved[key] = default
-    unknown = set(file_cfg) - set(args.settings)
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    return resolved
-
-
-def _write_config_log(path, resolved: dict, extra: dict | None = None) -> None:
-    entries = dict(resolved)
-    if extra:
-        entries.update(extra)
+def _write_config_log(path, args, **derived) -> None:
+    """Log every parsed argument and each derived value, sorted by key."""
+    entries = {key: value for key, value in vars(args).items()
+               if key not in ("command", "func")}
+    entries.update(derived)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(entries):
             fh.write(f"{key} = {entries[key]}\n")
@@ -105,15 +66,13 @@ _GEN_SETTINGS = {"seed": (0, int), "train_size": (4000, int),
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _resolve(args)
-    datasets = preset_datasets(args.preset, cfg["seed"],
-                               cfg["train_size"], cfg["test_size"])
+    datasets = preset_datasets(args.preset, args.seed,
+                               args.train_size, args.test_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, ds in datasets.items():
         save_csv(ds, out / f"{name}.csv")
-    _write_config_log(out / "config_used.txt", cfg,
-                      {"preset": args.preset, "out": out})
+    _write_config_log(out / "config_used.txt", args)
     print(f"wrote {', '.join(sorted(datasets))} under {out}")
     return 0
 
@@ -127,20 +86,19 @@ _TRAIN_SETTINGS = {
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve(args)
     dataset = load_csv(args.data)
-    config = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                         learning_rate=cfg["learning_rate"])
-    init_rng = Rng(derive_seed(cfg["seed"], "init"))
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                         learning_rate=args.learning_rate)
+    init_rng = Rng(derive_seed(args.seed, "init"))
     if args.model == "ffnn":
-        model = FfnnModel(dataset.dim, cfg["hidden"], cfg["ffnn_blocks"],
-                          cfg["dropout"], init_rng)
+        model = FfnnModel(dataset.dim, args.hidden, args.ffnn_blocks,
+                          args.dropout, init_rng)
     else:
-        model = CccpDeModel(dataset.dim, 2, cfg["hidden"],
-                            cfg["base_depth"], cfg["head_depth"],
-                            cfg["disc_blocks"], cfg["dropout"], init_rng)
+        model = CccpDeModel(dataset.dim, 2, args.hidden,
+                            args.base_depth, args.head_depth,
+                            args.disc_blocks, args.dropout, init_rng)
     trace, final_loss = train(model, dataset, config,
-                              Rng(derive_seed(cfg["seed"], "shuffle")))
+                              Rng(derive_seed(args.seed, "shuffle")))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
@@ -148,8 +106,7 @@ def _cmd_train(args) -> int:
               [np.arange(1, len(trace) + 1), trace])
     out.with_suffix(".final_loss.txt").write_text(
         f"final_loss = {final_loss!r}\n", encoding="utf-8")
-    _write_config_log(out.with_suffix(".config.txt"), cfg,
-                      {"model": args.model, "data": args.data, "out": out})
+    _write_config_log(out.with_suffix(".config.txt"), args)
     print(f"trained {args.model} on {dataset.n_rows} rows; "
           f"final loss {final_loss:.6f}; model at {out}")
     return 0
@@ -175,19 +132,18 @@ def _load_density_model(path) -> CccpDeModel:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _resolve(args)
     model = _load_density_model(args.model)
     dataset = load_csv(args.data)
-    prior = base_rate_prior(cfg["base_rate"], cfg["prior_strength"])
+    prior = base_rate_prior(args.base_rate, args.prior_strength)
 
     log_d, sigmoid_scores = model.forward(dataset.features)
     with np.errstate(divide="ignore"):
         log_priors = np.log(model.class_priors)
     _, ratio_scores = ev.ratio_test_classify(log_d, log_priors)
 
-    volume = cfg["volume"] if cfg["volume"] is not None else _default_volume(model)
+    volume = args.volume if args.volume is not None else _default_volume(model)
     batch = posterior_reports(log_d, model.class_counts, prior, volume,
-                              cfg["threshold"], cfg["mass"])
+                              args.threshold, args.mass)
 
     scorers = {"sigmoid": sigmoid_scores, "ratio": ratio_scores}
     ffnn_scores = np.full(dataset.n_rows, np.nan)
@@ -216,18 +172,15 @@ def _cmd_eval(args) -> int:
             ev.write_roc_csv(full, out / f"roc{suffix[name]}.csv")
         if filtered is not None:
             ev.write_roc_csv(filtered, out / f"roc{suffix[name]}_filtered.csv")
-    _write_config_log(out / "config_used.txt", cfg, {
-        "model": args.model, "ffnn": args.ffnn, "data": args.data,
-        "out": out, "resolved_volume": volume,
-        "prior": f"Beta({prior.a}, {prior.b})",
-    })
+    _write_config_log(out / "config_used.txt", args, resolved_volume=volume,
+                      prior=f"Beta({prior.a}, {prior.b})")
     for name, (full, filtered) in sorted(curves.items()):
         if filtered is not None:
             print(f"{name}: auc {full.auc:.4f} -> retained auc {filtered.auc:.4f}")
         elif full is not None:
             print(f"{name}: auc {full.auc:.4f}")
     print(f"retained {retained.size}, rejected {rejected.size} "
-          f"of {dataset.n_rows} (threshold {cfg['threshold']})")
+          f"of {dataset.n_rows} (threshold {args.threshold})")
     return 0
 
 
@@ -236,17 +189,15 @@ _SAMPLE_SETTINGS = {"seed": (0, int), "count": (10, int),
 
 
 def _cmd_sample(args) -> int:
-    cfg = _resolve(args)
     model = _load_density_model(args.model)
-    rng = Rng(derive_seed(cfg["seed"], "sampling"))
-    samples = model.sample_class(cfg["class_index"], rng, cfg["count"])
+    rng = Rng(derive_seed(args.seed, "sampling"))
+    samples = model.sample_class(args.class_index, rng, args.count)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    labels = np.full(cfg["count"], cfg["class_index"], dtype=np.int64)
+    labels = np.full(args.count, args.class_index, dtype=np.int64)
     save_csv(Dataset(samples, labels, name="samples"), out)
-    _write_config_log(out.with_suffix(".config.txt"), cfg,
-                      {"model": args.model, "out": out})
-    print(f"wrote {cfg['count']} class-{cfg['class_index']} samples to {out}")
+    _write_config_log(out.with_suffix(".config.txt"), args)
+    print(f"wrote {args.count} class-{args.class_index} samples to {out}")
     return 0
 
 
@@ -254,7 +205,6 @@ _GRID_SETTINGS = {"resolution": (100, int)}
 
 
 def _cmd_density_grid(args) -> int:
-    cfg = _resolve(args)
     model = _load_density_model(args.model)
     if args.bounds is not None:
         bounds = tuple(args.bounds)
@@ -263,15 +213,13 @@ def _cmd_density_grid(args) -> int:
         bounds = (mean[0] - 6 * std[0], mean[0] + 6 * std[0],
                   mean[1] - 6 * std[1], mean[1] + 6 * std[1])
     _, _, points, log_d, total = ev.density_grid(model, bounds,
-                                                 cfg["resolution"])
+                                                 args.resolution)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ev.write_density_grid_csv(out, points, log_d, total)
-    _write_config_log(out.with_suffix(".config.txt"), cfg, {
-        "model": args.model, "out": out,
-        "bounds": ",".join(repr(float(b)) for b in bounds),
-    })
-    print(f"wrote {cfg['resolution'] ** 2} grid rows to {out}")
+    _write_config_log(out.with_suffix(".config.txt"), args,
+                      bounds=",".join(repr(float(b)) for b in bounds))
+    print(f"wrote {args.resolution ** 2} grid rows to {out}")
     return 0
 
 
@@ -282,23 +230,22 @@ _GLM_SETTINGS = {"seed": (0, int), "train_size": (2000, int),
 
 
 def _cmd_glm_demo(args) -> int:
-    cfg = _resolve(args)
-    if cfg["grid_size"] < 1:
-        raise DomainError(f"grid size must be >= 1, got {cfg['grid_size']}")
-    x, y = gen_regression_1d(cfg["train_size"], derive_seed(cfg["seed"], "data"))
-    config = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                         learning_rate=cfg["learning_rate"])
-    init_rng = Rng(derive_seed(cfg["seed"], "init"))
-    model = glm_fit_and_predict(x, y, config, init_rng, cfg["hidden"])
-    grid = np.linspace(-3.0, 3.0, cfg["grid_size"])
+    if args.grid_size < 1:
+        raise DomainError(f"grid size must be >= 1, got {args.grid_size}")
+    x, y = gen_regression_1d(args.train_size, derive_seed(args.seed, "data"))
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                         learning_rate=args.learning_rate)
+    init_rng = Rng(derive_seed(args.seed, "init"))
+    model = glm_fit_and_predict(x, y, config, init_rng, args.hidden)
+    grid = np.linspace(-3.0, 3.0, args.grid_size)
     mu, sigma = model.predict(grid)
     truth = regression_true_mean(grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "glm_demo.csv", ["x", "mu", "sigma", "y_true"],
               [grid, mu, sigma, truth])
-    _write_config_log(out / "config_used.txt", cfg, {"out": out})
-    print(f"wrote regression demo ({cfg['grid_size']} grid rows) under {out}")
+    _write_config_log(out / "config_used.txt", args)
+    print(f"wrote regression demo ({args.grid_size} grid rows) under {out}")
     return 0
 
 
@@ -306,11 +253,10 @@ def _cmd_glm_demo(args) -> int:
 
 
 def _add_settings(p, func, settings: dict) -> None:
-    """Add `--config` and one flag per settings key; `func` runs the command."""
-    p.add_argument("--config", help="key = value config file")
-    for key, (_, kind) in settings.items():
-        p.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
-    p.set_defaults(func=func, settings=settings)
+    """Add one `--key-name` flag per settings key, defaulting from the table."""
+    for key, (default, kind) in settings.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=kind, default=default)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -141,8 +141,14 @@ def preset_datasets(preset: str, seed: int, train_size: int,
     if preset not in PRESETS:
         raise DomainError(
             f"unknown preset {preset!r}; choose one of {', '.join(PRESETS)}")
-    if train_size < 2 or test_size < 2:
-        raise DomainError("train and test sizes must each be >= 2")
+    # half of each size goes to each class, and a composite class has
+    # two components
+    least = 4 if preset == "composite" else 2
+    for key, size in (("train_size", train_size), ("test_size", test_size)):
+        if size < least or size % 2:
+            raise DomainError(
+                f"{key} must be even and >= {least} for preset {preset!r}, "
+                f"got {size}")
     if preset == "composite":
         make = composite_components
     elif preset == "overlap":

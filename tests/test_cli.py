@@ -1,4 +1,5 @@
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -27,6 +28,10 @@ from helpers import (
     reference_write_reports_csv,
     reference_write_trace_csv,
 )
+
+
+SUBCOMMANDS = ["gen-data", "train", "eval", "sample", "density-grid",
+               "glm-demo"]
 
 
 def run(*args):
@@ -128,40 +133,20 @@ class TestTrain:
         again = model.eval_loss(ds.features, ds.labels)
         assert abs(again - final) < 1e-12
 
-    def test_config_file_layering(self, toy_run, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs = 2  # short run\nhidden = 8\n")
-        out = tmp_path / "m.bin"
-        assert run("train", "--model", "ffnn",
-                   "--data", toy_run["data"] / "train.csv", "--out", out,
-                   "--config", cfg, "--epochs", 1) == 0
-        trace = out.with_suffix(".trace.csv").read_text().splitlines()
-        assert len(trace) == 1 + 1  # flag beats file
-        log = out.with_suffix(".config.txt").read_text()
-        assert "hidden = 8" in log  # file beats default
-
-    def test_unknown_config_key_fails(self, toy_run, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epcohs = 2\n")
-        assert run("train", "--model", "ffnn",
-                   "--data", toy_run["data"] / "train.csv",
-                   "--out", tmp_path / "m.bin", "--config", cfg) == 1
-
-    @pytest.mark.parametrize("text, message", [
-        ("epochs = 2\nhidden\n", "config line 2 is not 'key = value'"),
-        ("epochs = two\n", "needs a int"),
-        ("learning_rate = fast\n", "needs a float"),
-        ("standardize = false\n", "unknown config keys"),
-    ], ids=["no-equals", "int", "float", "standardize"])
-    def test_bad_config_file_is_runtime_error(self, toy_run, tmp_path, capsys,
-                                              text, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        assert run("train", "--model", "ffnn",
-                   "--data", toy_run["data"] / "train.csv",
-                   "--out", tmp_path / "m" / "model.bin", "--config", cfg) == 1
-        assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [cfg]
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--epochs", "two", "int"),
+        ("--learning-rate", "fast", "float"),
+    ], ids=["epochs", "learning-rate"])
+    def test_mistyped_value_is_usage_error(self, toy_run, tmp_path, capsys,
+                                           flag, value, kind):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--model", "ffnn",
+                "--data", toy_run["data"] / "train.csv",
+                "--out", tmp_path / "m" / "model.bin", flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid {kind} value: {value!r}" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_standardize_flag_is_usage_error(self, toy_run, tmp_path):
         # every model standardizes its inputs; train fits the standardizer
@@ -317,13 +302,9 @@ class TestEval:
         default_log = (toy_run["eval"] / "config_used.txt").read_text()
         assert "prior = Beta(1.0, 1.0)\n" in default_log
 
-    def test_prior_shape_keys_are_gone(self, toy_run, tmp_path, capsys):
+    def test_prior_shape_keys_are_gone(self, toy_run, tmp_path):
         args = ["eval", "--model", toy_run["cc"],
                 "--data", toy_run["data"] / "test.csv", "--out", tmp_path / "e"]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("prior_a = 2\n")
-        assert run(*args, "--config", cfg) == 1
-        assert "unknown config keys" in capsys.readouterr().err
         for flag in ("--prior-a", "--prior-b"):
             with pytest.raises(SystemExit) as exc:
                 run(*args, flag, 1)
@@ -415,8 +396,13 @@ class TestFailedRunWritesNothing:
         ("eval", "--mass", 1, "mass must lie in (0, 1)"),
         ("eval", "--volume", -1, "volume must be positive and finite"),
         ("gen-data", "--train-size", 1,
-         "train and test sizes must each be >= 2"),
-    ], ids=["base-rate", "threshold", "mass", "volume", "train-size"])
+         "train_size must be even and >= 4 for preset 'composite', got 1"),
+        ("gen-data", "--train-size", 2,
+         "train_size must be even and >= 4 for preset 'composite', got 2"),
+        ("gen-data", "--test-size", 5,
+         "test_size must be even and >= 4 for preset 'composite', got 5"),
+    ], ids=["base-rate", "threshold", "mass", "volume", "train-size",
+            "composite-train-size", "odd-test-size"])
     def test_invalid_setting(self, toy_run, tmp_path, capsys, command, flag,
                              value, message):
         out = tmp_path / "out"
@@ -559,9 +545,50 @@ class TestGlmDemo:
         assert not (out / "glm_demo.csv").exists()
 
 
+class TestConfigLog:
+    """A run logs its settings, its named arguments and what it derived."""
+
+    @pytest.mark.parametrize("command, named, derived", [
+        ("gen-data", ["out", "preset"], []),
+        ("train", ["data", "model", "out"], []),
+        ("eval", ["data", "ffnn", "model", "out"], ["prior", "resolved_volume"]),
+        ("sample", ["model", "out"], []),
+        ("density-grid", ["bounds", "model", "out"], []),
+        ("glm-demo", ["out"], []),
+    ], ids=SUBCOMMANDS)
+    def test_flag_only_run_logs_exactly(self, toy_run, tmp_path, command,
+                                        named, derived):
+        data, out = toy_run["data"], tmp_path / "out"
+        argv, log, settings = {
+            "gen-data": (["--preset", "separable", "--train-size", 20],
+                         out / "config_used.txt", cli._GEN_SETTINGS),
+            "train": (["--model", "ffnn", "--data", data / "train.csv",
+                       "--epochs", 1, "--hidden", 4],
+                      out.with_suffix(".config.txt"), cli._TRAIN_SETTINGS),
+            "eval": (["--model", toy_run["cc"], "--ffnn", toy_run["ffnn"],
+                      "--data", data / "test.csv"],
+                     out / "config_used.txt", cli._EVAL_SETTINGS),
+            "sample": (["--model", toy_run["cc"], "--count", 3],
+                       out.with_suffix(".config.txt"), cli._SAMPLE_SETTINGS),
+            "density-grid": (["--model", toy_run["cc"], "--resolution", 5],
+                             out.with_suffix(".config.txt"), cli._GRID_SETTINGS),
+            "glm-demo": (["--train-size", 20, "--epochs", 1, "--grid-size", 5],
+                         out / "config_used.txt", cli._GLM_SETTINGS),
+        }[command]
+        assert run(command, *argv, "--out", out) == 0
+        lines = log.read_text(encoding="utf-8").splitlines()
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert keys == sorted([*settings, *named, *derived])
+        values = dict(line.split(" = ", 1) for line in lines)
+        assert values["out"] == str(out)
+        for key, (default, _) in settings.items():
+            if f"--{key.replace('_', '-')}" not in argv:
+                assert values[key] == str(default), key
+
+
 class TestParser:
     def test_option_strings_per_subcommand(self):
-        common = ["--config", "--help", "--out", "-h"]
+        common = ["--help", "--out", "-h"]
         expected = {
             "gen-data": ["--preset", "--seed", "--test-size", "--train-size"],
             "train": ["--base-depth", "--batch-size", "--data",
@@ -582,6 +609,41 @@ class TestParser:
             options = sorted(s for action in subparsers[name]._actions
                              for s in action.option_strings)
             assert options == sorted(common + own), name
+
+    @pytest.mark.parametrize("command, required", [
+        ("gen-data", ["--preset", "composite"]),
+        ("train", ["--model", "ffnn", "--data", "train.csv"]),
+        ("eval", ["--model", "m.bin", "--data", "test.csv"]),
+        ("sample", ["--model", "m.bin"]),
+        ("density-grid", ["--model", "m.bin"]),
+        ("glm-demo", []),
+    ], ids=SUBCOMMANDS)
+    def test_config_flag_is_usage_error(self, tmp_path, capsys, command,
+                                        required):
+        # settings are flags only; there is no config-file input
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(command, *required, "--out", out, "--config", cfg)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_quick_start_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md"
+                  ).read_text(encoding="utf-8")
+        block = readme.split("## Quick start", 1)[1].split("```", 2)[1]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.strip()]
+        assert all(line.startswith("cccpde ") for line in lines)
+        commands = [shlex.split(line)[1:] for line in lines]
+        assert [argv[0] for argv in commands] == [
+            "gen-data", "train", "train", "eval", "sample", "density-grid",
+            "glm-demo"]
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            assert args.command == argv[0]
 
     def test_readme_flags_are_cli_options(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md"

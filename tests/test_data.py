@@ -3,6 +3,7 @@ import pytest
 
 from cccpde.data import (
     CSV_BLOCK_ROWS,
+    PRESETS,
     Dataset,
     Standardizer,
     gen_mixture,
@@ -258,3 +259,16 @@ class TestDatasetInvariants:
     def test_unknown_preset(self):
         with pytest.raises(DomainError, match="separable"):
             preset_datasets("spiral", 0, 10, 10)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_preset_writes_every_size_it_accepts(self, preset):
+        least = 4 if preset == "composite" else 2
+        sets = preset_datasets(preset, 3, least, least + 2)
+        assert (sets["train"].n_rows, sets["test"].n_rows) == (least, least + 2)
+        for size in (least - 1, least + 1):
+            with pytest.raises(DomainError, match=f"^train_size must be even "
+                               f"and >= {least} .* got {size}$"):
+                preset_datasets(preset, 3, size, least)
+            with pytest.raises(DomainError, match=f"^test_size must be even "
+                               f"and >= {least} .* got {size}$"):
+                preset_datasets(preset, 3, least, size)
