@@ -13,7 +13,15 @@ to its outputs, and makes no output path until its work is done, so a
 failed run leaves none behind.
 All randomness flows from one root seed, split per subsystem by fixed
 labels (data/init/shuffle/sampling). Exit codes: 0 success, 2 usage
-error, 1 runtime error.
+error, 1 runtime error. Only full flag names parse: an abbreviation such
+as `--epoch` is a usage error.
+
+Every process pays for its imports before any work, so this module's top
+imports only argparse, sys and pathlib, and each `_cmd_*` imports what it
+runs at its own top. `--help` and usage errors thus load neither numpy
+nor a library module (the parser reads the preset names from
+`cccpde.presets`); `gen-data` loads no model code, and `train`, `sample`
+and `glm-demo` load neither `bayes` nor `evaluate`.
 """
 
 from __future__ import annotations
@@ -21,32 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
-
-from . import evaluate as ev
-from .bayes import base_rate_prior, posterior_reports
-from .data import (
-    PRESETS,
-    Dataset,
-    gen_regression_1d,
-    load_csv,
-    preset_datasets,
-    regression_true_mean,
-    save_csv,
-    write_csv,
-)
-from .errors import DomainError
-from .model import (
-    CccpDeModel,
-    FfnnModel,
-    TrainConfig,
-    load_model,
-    save_model,
-    train,
-    glm_fit_and_predict,
-)
-from .numerics import Rng, derive_seed
 
 
 def _write_config_log(path, args, **derived) -> None:
@@ -66,6 +48,8 @@ _GEN_SETTINGS = {"seed": (0, int), "train_size": (4000, int),
 
 
 def _cmd_gen_data(args) -> int:
+    from .data import preset_datasets, save_csv
+
     datasets = preset_datasets(args.preset, args.seed,
                                args.train_size, args.test_size)
     out = Path(args.out)
@@ -86,6 +70,12 @@ _TRAIN_SETTINGS = {
 
 
 def _cmd_train(args) -> int:
+    import numpy as np
+
+    from .data import load_csv, write_csv
+    from .model import CccpDeModel, FfnnModel, TrainConfig, save_model, train
+    from .numerics import Rng, derive_seed
+
     dataset = load_csv(args.data)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          learning_rate=args.learning_rate)
@@ -120,11 +110,16 @@ _EVAL_SETTINGS = {
 
 
 def _default_volume(model: CccpDeModel) -> float:
+    import numpy as np
+
     # a (0.05 * per-dimension training std) hypercube
     return float(np.prod(0.05 * model.standardizer.std))
 
 
 def _load_density_model(path) -> CccpDeModel:
+    from .errors import DomainError
+    from .model import CccpDeModel, load_model
+
     model = load_model(path)
     if not isinstance(model, CccpDeModel):
         raise DomainError(f"{path} is not a density-estimator model")
@@ -132,6 +127,14 @@ def _load_density_model(path) -> CccpDeModel:
 
 
 def _cmd_eval(args) -> int:
+    import numpy as np
+
+    from . import evaluate as ev
+    from .bayes import base_rate_prior, posterior_reports
+    from .data import load_csv
+    from .errors import DomainError
+    from .model import FfnnModel, load_model
+
     model = _load_density_model(args.model)
     dataset = load_csv(args.data)
     prior = base_rate_prior(args.base_rate, args.prior_strength)
@@ -189,6 +192,11 @@ _SAMPLE_SETTINGS = {"seed": (0, int), "count": (10, int),
 
 
 def _cmd_sample(args) -> int:
+    import numpy as np
+
+    from .data import Dataset, save_csv
+    from .numerics import Rng, derive_seed
+
     model = _load_density_model(args.model)
     rng = Rng(derive_seed(args.seed, "sampling"))
     samples = model.sample_class(args.class_index, rng, args.count)
@@ -205,6 +213,8 @@ _GRID_SETTINGS = {"resolution": (100, int)}
 
 
 def _cmd_density_grid(args) -> int:
+    from . import evaluate as ev
+
     model = _load_density_model(args.model)
     if args.bounds is not None:
         bounds = tuple(args.bounds)
@@ -230,6 +240,13 @@ _GLM_SETTINGS = {"seed": (0, int), "train_size": (2000, int),
 
 
 def _cmd_glm_demo(args) -> int:
+    import numpy as np
+
+    from .data import gen_regression_1d, regression_true_mean, write_csv
+    from .errors import DomainError
+    from .model import TrainConfig, glm_fit_and_predict
+    from .numerics import Rng, derive_seed
+
     if args.grid_size < 1:
         raise DomainError(f"grid size must be >= 1, got {args.grid_size}")
     x, y = gen_regression_1d(args.train_size, derive_seed(args.seed, "data"))
@@ -260,43 +277,51 @@ def _add_settings(p, func, settings: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .presets import PRESETS
+
     parser = argparse.ArgumentParser(
-        prog="cccpde",
+        prog="cccpde", allow_abbrev=False,
         description="Class-conditional density estimation with "
                     "credible-interval uncertainty and abstention.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic preset dataset")
+    p = sub.add_parser("gen-data", help="generate a synthetic preset dataset",
+                       allow_abbrev=False)
     p.add_argument("--preset", required=True, choices=PRESETS)
     p.add_argument("--out", required=True, help="output directory")
     _add_settings(p, _cmd_gen_data, _GEN_SETTINGS)
 
-    p = sub.add_parser("train", help="train a model on a dataset CSV")
+    p = sub.add_parser("train", help="train a model on a dataset CSV",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True, choices=("ffnn", "cccpde"))
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--out", required=True, help="model file to write")
     _add_settings(p, _cmd_train, _TRAIN_SETTINGS)
 
-    p = sub.add_parser("eval", help="uncertainty-filtered evaluation")
+    p = sub.add_parser("eval", help="uncertainty-filtered evaluation",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True, help="density-estimator model file")
     p.add_argument("--ffnn", help="optional baseline model file")
     p.add_argument("--data", required=True, help="test CSV")
     p.add_argument("--out", required=True, help="output directory")
     _add_settings(p, _cmd_eval, _EVAL_SETTINGS)
 
-    p = sub.add_parser("sample", help="draw samples from one class head")
+    p = sub.add_parser("sample", help="draw samples from one class head",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="samples CSV to write")
     _add_settings(p, _cmd_sample, _SAMPLE_SETTINGS)
 
-    p = sub.add_parser("density-grid", help="export 2-D log-density grid")
+    p = sub.add_parser("density-grid", help="export 2-D log-density grid",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.add_argument("--bounds", type=float, nargs=4,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.add_argument("--out", required=True, help="grid CSV to write")
     _add_settings(p, _cmd_density_grid, _GRID_SETTINGS)
 
-    p = sub.add_parser("glm-demo", help="heteroscedastic 1-D regression demo")
+    p = sub.add_parser("glm-demo", help="heteroscedastic 1-D regression demo",
+                       allow_abbrev=False)
     p.add_argument("--out", required=True, help="output directory")
     _add_settings(p, _cmd_glm_demo, _GLM_SETTINGS)
 

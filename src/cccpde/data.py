@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CsvFormatError, DomainError, ShapeError
 from .numerics import Rng, derive_seed
+from .presets import PRESETS
 
 
 def binary_labels(labels) -> np.ndarray:
@@ -130,9 +131,6 @@ def heldout_component(count: int) -> tuple:
     # the open-set cluster; label 0 is a placeholder, these rows are
     # out-of-set by construction
     return (0, (0.0, 2.8), 0.36, count)
-
-
-PRESETS = ("separable", "overlap", "openset", "composite")
 
 
 def preset_datasets(preset: str, seed: int, train_size: int,

@@ -12,13 +12,16 @@ models. Every CSV is written by `data.write_csv`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bayes import PosteriorBatch
 from .data import binary_labels, write_csv
 from .errors import DomainError, ShapeError
 from .numerics import logsumexp
+
+if TYPE_CHECKING:  # annotations only, so density-grid never loads bayes
+    from .bayes import PosteriorBatch
 
 NO_SUPPORT = -1  # classification outcome when every class has zero density
 

@@ -79,8 +79,10 @@ class FfnnModel:
         self.standardizer = Standardizer(np.zeros(dim), np.ones(dim))
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities, deterministic inference pass."""
-        return self.head(self.standardizer.apply(x))
+        """Positive-class probabilities, deterministic inference pass; a row
+        whose standardized input overflows may score nan, silently."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.head(self.standardizer.apply(x))
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
                        rng: Rng | None = None) -> float:
@@ -142,19 +144,34 @@ class CccpDeModel:
     # -- forward passes ----------------------------------------------------
 
     def _flows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class log-densities (n, 2) and the base output; no disc head."""
-        xs = self.standardizer.apply(x)
-        base_out, log_det_base = self.base(xs)
-        log_d = np.empty((xs.shape[0], 2))
-        for k, head in enumerate(self.heads):
-            z, log_det_head = head(base_out)
-            log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
+        """Per-class log-densities (n, 2) and the base output; no disc head.
+
+        A row whose standardized input, base output, latent or log-det is
+        not finite (rows far outside the data overflow on the way) gets
+        log-density -inf in both classes: zero counts, so the prior
+        posterior. The overflow and invalid-value warnings of such rows
+        are silenced here; every other row keeps its bits.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = self.standardizer.apply(x)
+            base_out, log_det_base = self.base(xs)
+            finite = (np.isfinite(xs).all(axis=1)
+                      & np.isfinite(base_out).all(axis=1)
+                      & np.isfinite(log_det_base))
+            log_d = np.empty((xs.shape[0], 2))
+            for k, head in enumerate(self.heads):
+                z, log_det_head = head(base_out)
+                finite &= np.isfinite(z).all(axis=1) & np.isfinite(log_det_head)
+                log_d[:, k] = gaussian_logpdf(z) + log_det_base + log_det_head
+        log_d[~finite] = -np.inf
         return log_d + self.standardizer.log_volume_scale, base_out
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class log-densities (n, 2) and sigmoid scores (n,)."""
+        """Per-class log-densities (n, 2) and sigmoid scores (n,); a row
+        whose base output is not finite may score nan."""
         log_d, base_out = self._flows(x)
-        return log_d, self.disc(base_out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return log_d, self.disc(base_out)
 
     def log_densities(self, x: np.ndarray) -> np.ndarray:
         """Per-class log-densities in raw input space."""

@@ -1,5 +1,6 @@
 """Shared test utilities: error metrics, the finite-difference gradient
-and Monte Carlo pseudo-count oracles, AUC brute force, and code the package
+and Monte Carlo pseudo-count oracles, AUC brute force, perturbed models and
+a strategy for rows far outside the data, and code the package
 replaced, kept as bit-exact references: the masked activations, the
 per-array and the six-vector Adam, the training pairs that cached every
 pre-activation, the training loop that evaluated the full set after every
@@ -13,6 +14,7 @@ from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
+from hypothesis import strategies as st
 
 from cccpde.bayes import OVERFLOW_LOG, UNDERFLOW_LOG
 from cccpde.data import Standardizer
@@ -20,7 +22,7 @@ from cccpde.errors import DomainError, NumericError
 from cccpde.flow import gaussian_logpdf
 from cccpde.model import CccpDeModel
 from cccpde.nn import LAYER_NORM_EPS, LEAKY_SLOPE, AdamState, DenseBlock, MLP
-from cccpde.numerics import log_gamma
+from cccpde.numerics import Rng, log_gamma
 
 
 def rel_err(a, b) -> float:
@@ -495,6 +497,27 @@ def one_pass_logits(head, x):
     for block in head.blocks:
         h = block(h)
     return head.out(h).ravel()
+
+
+def perturbed(model, seed, std=2.0):
+    """The model with every parameter moved off its initial value, so the
+    zero-initialized coupling outputs transform too, and a standardizer of
+    mean 0.5 and the given std in every dimension."""
+    rng = Rng(seed)
+    for p in model.params():
+        p.value[...] += 0.2 * rng.normals(p.value.size).reshape(p.value.shape)
+    model.standardizer = Standardizer(np.full(model.dim, 0.5),
+                                      np.full(model.dim, std))
+    return model
+
+
+def far_rows(dim, max_rows=12):
+    """Hypothesis strategy: (n, dim) arrays of finite entries +-10^k with k
+    from 0 to 308, so rows reach from the data out to the float limit."""
+    entry = st.builds(lambda k, sign: sign * 10.0 ** k,
+                      st.integers(0, 308), st.sampled_from((-1.0, 1.0)))
+    row = st.lists(entry, min_size=dim, max_size=dim)
+    return st.lists(row, min_size=1, max_size=max_rows).map(np.array)
 
 
 def special_floats(rng, n):

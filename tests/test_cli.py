@@ -1,3 +1,4 @@
+import os
 import re
 import shlex
 import subprocess
@@ -7,22 +8,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cccpde.cli as cli
 import cccpde.evaluate as ev
+import cccpde.model
 from cccpde.bayes import BetaPosterior, posterior_reports
 from cccpde.cli import build_parser, main
 from cccpde.data import (
+    Dataset,
     composite_components,
     gen_mixture,
     load_csv,
     regression_true_mean,
     save_csv,
 )
-from cccpde.model import load_model, save_model
+from cccpde.model import CccpDeModel, FfnnModel, load_model, save_model
+from cccpde.numerics import Rng
 from cccpde.serialize import read_state, write_state
 
 from helpers import (
+    far_rows,
+    perturbed,
     rel_err,
     reference_write_glm_demo_csv,
     reference_write_reports_csv,
@@ -33,9 +41,27 @@ from helpers import (
 SUBCOMMANDS = ["gen-data", "train", "eval", "sample", "density-grid",
                "glm-demo"]
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def check_quick_start_parses(readme: str) -> None:
+    """Every `cccpde ...` line of the README quick start, with `\\`
+    continuations joined, parses with `build_parser()`."""
+    block = readme.split("## Quick start", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip()]
+    assert all(line.startswith("cccpde ") for line in lines)
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert [argv[0] for argv in commands] == [
+        "gen-data", "train", "train", "eval", "sample", "density-grid",
+        "glm-demo"]
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +138,10 @@ class TestTrain:
             traces.append(cli_train(*args, **kwargs))
             return traces[-1]
 
-        cli_train = cli.train
-        monkeypatch.setattr(cli, "train", recording_train)
+        # each subcommand imports its library names when it runs, so the
+        # library attribute is the one to patch
+        cli_train = cccpde.model.train
+        monkeypatch.setattr(cccpde.model, "train", recording_train)
         out = tmp_path / "m.bin"
         assert run("train", "--model", "ffnn",
                    "--data", toy_run["data"] / "train.csv", "--out", out,
@@ -509,8 +537,8 @@ class TestGlmDemo:
             models.append(cli_fit(*args, **kwargs))
             return models[-1]
 
-        cli_fit = cli.glm_fit_and_predict
-        monkeypatch.setattr(cli, "glm_fit_and_predict", recording_fit)
+        cli_fit = cccpde.model.glm_fit_and_predict
+        monkeypatch.setattr(cccpde.model, "glm_fit_and_predict", recording_fit)
         out = tmp_path / "glm"
         assert run("glm-demo", "--out", out, "--seed", 7, "--train-size", 300,
                    "--epochs", 5, "--grid-size", 133) == 0
@@ -631,23 +659,35 @@ class TestParser:
         assert not out.exists()
 
     def test_readme_quick_start_parses(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md"
-                  ).read_text(encoding="utf-8")
-        block = readme.split("## Quick start", 1)[1].split("```", 2)[1]
-        lines = [line for line in block.replace("\\\n", " ").splitlines()
-                 if line.strip()]
-        assert all(line.startswith("cccpde ") for line in lines)
-        commands = [shlex.split(line)[1:] for line in lines]
-        assert [argv[0] for argv in commands] == [
-            "gen-data", "train", "train", "eval", "sample", "density-grid",
-            "glm-demo"]
-        for argv in commands:
-            args = build_parser().parse_args(argv)
-            assert args.command == argv[0]
+        check_quick_start_parses(README.read_text(encoding="utf-8"))
+
+    def test_truncated_flag_fails_the_quick_start_check(self, capsys):
+        readme = README.read_text(encoding="utf-8")
+        assert "--head-depth 2" in readme
+        with pytest.raises(SystemExit) as exc:
+            check_quick_start_parses(
+                readme.replace("--head-depth 2", "--head-dept 2"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --head-dept 2" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--epoch", 2),
+                                             ("--head-dept", 3)])
+    def test_abbreviated_flag_is_usage_error(self, toy_run, tmp_path, capsys,
+                                             flag, value):
+        # only full flag names parse; argparse would otherwise take any
+        # unambiguous prefix
+        out = tmp_path / "m.bin"
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--model", "cccpde", "--data",
+                toy_run["data"] / "train.csv", "--out", out, flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_flags_are_cli_options(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md"
-                  ).read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         # pip's flag in the install instructions is not ours
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) \
             - {"--no-build-isolation"}
@@ -672,3 +712,124 @@ class TestProcessEntry:
             capture_output=True)
         assert proc.returncode == 1
         assert b"error:" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def far_model_files(tmp_path_factory):
+    """Perturbed density and baseline model files per dimension; their
+    standardizer std 0.5 turns an input of 1e308 into inf."""
+    root = tmp_path_factory.mktemp("far-models")
+    files = {}
+    for dim in (2, 16):
+        files[dim] = (root / f"cccpde{dim}.bin", root / f"ffnn{dim}.bin")
+        save_model(perturbed(CccpDeModel(dim, 2, hidden=16, head_depth=2,
+                                         rng=Rng(150)), 151, std=0.5),
+                   files[dim][0])
+        save_model(perturbed(FfnnModel(dim, 16, 2, 0.0, Rng(152)), 153,
+                             std=0.5), files[dim][1])
+    return files
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_eval_reports_every_far_row(far_model_files, tmp_path_factory, dim,
+                                    data):
+    # every finite row gets a report (ROADMAP item 6), with no
+    # RuntimeWarning: the suite turns those into errors, and `main` would
+    # then exit 1
+    x = data.draw(far_rows(dim))
+    labels = np.arange(x.shape[0]) % 2
+    root = tmp_path_factory.mktemp("far-eval")
+    save_csv(Dataset(x, labels), root / "rows.csv")
+    model, baseline = far_model_files[dim]
+    assert run("eval", "--model", model, "--ffnn", baseline,
+               "--data", root / "rows.csv", "--out", root / "e") == 0
+    rows = [r.split(",") for r in
+            (root / "e" / "reports.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(x.shape[0]))
+    log_d = np.array([[float(c) for c in r[4:6]] for r in rows])
+    assert not np.isnan(log_d).any()
+    post = np.array([[float(c) for c in r[6:9]] for r in rows])
+    assert np.isfinite(post).all()
+    no_support = np.isneginf(log_d).all(axis=1)
+    assert all(rows[i][9] == "1" for i in np.nonzero(no_support)[0])
+
+
+LIBRARY = {"bayes", "data", "errors", "evaluate", "flow", "model", "nn",
+           "numerics", "serialize"}
+
+
+def cli_imports(*args) -> tuple[int, set[str]]:
+    """Run the CLI on `args` in a fresh interpreter, as `python -m cccpde`
+    does; its exit code, and the cccpde submodules (by short name) and
+    `numpy` that it imported."""
+    probe = (
+        "import runpy, sys\n"
+        "sys.argv = ['cccpde', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('cccpde', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "names = [m.rpartition('.')[2] for m in sys.modules\n"
+        "         if m == 'numpy' or m.startswith('cccpde.')]\n"
+        "print(code, *names, file=sys.stderr)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", probe,
+                           *(str(a) for a in args)],
+                          capture_output=True, text=True, env=env)
+    code, *names = proc.stderr.splitlines()[-1].split()
+    return int(code), set(names)
+
+
+class TestImports:
+    """Each CLI process imports only what its subcommand runs."""
+
+    @pytest.mark.parametrize("args", [
+        ["--help"], ["gen-data", "--help"], ["train", "--epoch", "2"], [],
+    ], ids=["help", "gen-data-help", "usage-error", "no-command"])
+    def test_parser_alone_loads_no_numpy(self, args):
+        code, modules = cli_imports(*args)
+        assert code == (0 if "--help" in args else 2)
+        assert modules == {"cli", "presets"}
+
+    def test_gen_data_loads_no_model_code(self, tmp_path):
+        code, modules = cli_imports("gen-data", "--preset", "separable",
+                                    "--train-size", 20, "--test-size", 20,
+                                    "--out", tmp_path / "d")
+        assert code == 0
+        assert "data" in modules
+        assert modules & {"model", "nn", "flow", "serialize", "bayes",
+                          "evaluate"} == set()
+
+    @pytest.mark.parametrize("command", ["train", "sample", "glm-demo",
+                                         "density-grid"])
+    def test_no_posterior_code_outside_eval(self, toy_run, tmp_path,
+                                            command):
+        args = {
+            "train": ["--model", "ffnn", "--data",
+                      toy_run["data"] / "train.csv", "--epochs", 1,
+                      "--hidden", 4, "--out", tmp_path / "m.bin"],
+            "sample": ["--model", toy_run["cc"], "--count", 3,
+                       "--out", tmp_path / "s.csv"],
+            "glm-demo": ["--train-size", 20, "--epochs", 1, "--grid-size", 5,
+                         "--out", tmp_path / "g"],
+            "density-grid": ["--model", toy_run["cc"], "--resolution", 5,
+                             "--out", tmp_path / "grid.csv"],
+        }[command]
+        code, modules = cli_imports(command, *args)
+        assert code == 0
+        assert "model" in modules
+        # density-grid runs `evaluate`, whose only use of `bayes` is in
+        # annotations
+        assert modules & {"bayes", "evaluate"} \
+            == ({"evaluate"} if command == "density-grid" else set())
+
+    def test_eval_loads_the_posterior(self, toy_run, tmp_path):
+        code, modules = cli_imports("eval", "--model", toy_run["cc"],
+                                    "--data", toy_run["data"] / "test.csv",
+                                    "--out", tmp_path / "e")
+        assert code == 0
+        assert {"numpy", "bayes", "evaluate", "model"} <= modules

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cccpde.evaluate as ev
-from cccpde.bayes import BetaPosterior
+from cccpde.bayes import BetaPosterior, posterior_reports
 from cccpde.data import (
     Standardizer,
     composite_components,
@@ -46,9 +48,11 @@ from cccpde.numerics import Rng, derive_seed
 from cccpde.serialize import FORMAT_VERSION, read_state, write_state
 
 from helpers import (
+    far_rows,
     one_pass_logits,
     one_pass_stack_call,
     one_pass_stack_inverse,
+    perturbed,
     reference_train,
     rel_err,
     worst_param_grad_err,
@@ -122,6 +126,60 @@ class TestCccpDeForward:
 
         monkeypatch.setattr(model, "disc", no_disc)
         assert np.array_equal(model.log_densities(x), expected)
+
+
+@pytest.fixture(scope="module")
+def far_models():
+    """Perturbed models per dimension; standardizer std 0.5 turns an input
+    of 1e308 into inf, and smaller far inputs overflow in the flows."""
+    return {dim: (perturbed(CccpDeModel(dim, 2, hidden=16, head_depth=2,
+                                        rng=Rng(140)), 141, std=0.5),
+                  perturbed(FfnnModel(dim, 16, 2, 0.0, Rng(142)), 143,
+                            std=0.5))
+            for dim in (2, 16)}
+
+
+# Every finite row gets a report (ROADMAP item 6): a row whose standardized
+# input, latent or log-det is not finite has log-density -inf in both
+# classes, so the prior posterior, and raises no warning (the suite turns
+# RuntimeWarnings into errors). Module-level, not methods: hypothesis
+# refuses one test run from several class instances.
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_far_rows_get_a_posterior(far_models, dim, data):
+    model, baseline = far_models[dim]
+    x = data.draw(far_rows(dim))
+    log_d, _ = model.forward(x)
+    assert not np.isnan(log_d).any()
+    assert np.array_equal(model.log_densities(x), log_d)
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite((x - 0.5) / 0.5).all(axis=1)
+    assert np.isneginf(log_d[overflows]).all()
+    batch = posterior_reports(log_d, model.class_counts,
+                              BetaPosterior(1.0, 1.0), 1.0)
+    assert np.isfinite(batch.lo).all() and np.isfinite(batch.hi).all()
+    no_support = np.isneginf(log_d).all(axis=1)
+    assert np.array_equal(batch.a[no_support], np.ones(no_support.sum()))
+    assert batch.abstain[no_support].all()
+    assert baseline.score(x).shape == (x.shape[0],)
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+def test_in_range_rows_keep_their_bits(far_models, dim):
+    model, baseline = far_models[dim]
+    x = 3.0 * Rng(144).normals(40 * dim).reshape(40, dim)
+    far = x.copy()
+    far[::3] = np.where(np.arange(dim) % 2, 1e308, -1e308)
+    far[1::7] = 1e250
+    kept = (far == x).all(axis=1)
+    want, got = model.forward(x), model.forward(far)
+    for w, g in zip(want, got):
+        assert np.array_equal(g[kept], w[kept])
+    assert np.isneginf(got[0][~kept]).all()
+    assert np.array_equal(baseline.score(far)[kept], baseline.score(x)[kept])
 
 
 class TestStatelessInference:
@@ -222,17 +280,6 @@ class TestTrainingMemory:
 # a one-row remainder, and two blocks plus a short one
 BLOCK_EDGE_ROWS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                    2 * BLOCK_ROWS + 3]
-
-
-def perturbed(model, seed):
-    """The model with every parameter moved off its initial value, so the
-    zero-initialized coupling outputs transform too."""
-    rng = Rng(seed)
-    for p in model.params():
-        p.value[...] += 0.2 * rng.normals(p.value.size).reshape(p.value.shape)
-    model.standardizer = Standardizer(np.full(model.dim, 0.5),
-                                      np.full(model.dim, 2.0))
-    return model
 
 
 class TestBlockedInference:

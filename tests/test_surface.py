@@ -55,9 +55,25 @@ REMOVED = {
 
 
 def test_public_names_are_the_trimmed_list():
-    names = {name for name, value in vars(cccpde).items()
-             if not name.startswith("_") and not inspect.ismodule(value)}
+    # the package resolves its names on first use, so `vars(cccpde)` holds
+    # only those already looked up; `__all__` and `dir` list them all
+    assert set(cccpde.__all__) == PUBLIC
+    names = {name for name in dir(cccpde) if not name.startswith("_")
+             and not inspect.ismodule(getattr(cccpde, name))}
     assert names == PUBLIC
+    for name in PUBLIC:
+        module = importlib.import_module(f"cccpde.{cccpde._SUBMODULE[name]}")
+        value = getattr(cccpde, name)
+        assert value is getattr(module, name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            # the table names the module that defines the object
+            assert value.__module__ == module.__name__, name
+
+
+def test_unknown_package_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'split'"):
+        getattr(cccpde, "split")
+    assert not hasattr(cccpde, "PRESETS")
 
 
 @pytest.mark.parametrize("owner", sorted(REMOVED))
