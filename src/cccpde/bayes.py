@@ -62,10 +62,6 @@ class BetaPosterior:
             raise DomainError(f"Beta parameters must be positive and finite, "
                               f"got ({self.a}, {self.b})")
 
-    @property
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
-
 
 def base_rate_prior(positive_rate: float, concentration: float) -> BetaPosterior:
     """Beta prior encoding a known base rate with a chosen total weight."""

@@ -47,6 +47,12 @@ def gaussian_logpdf(z: np.ndarray) -> np.ndarray:
         return -0.5 * z.shape[1] * LOG_TWO_PI - 0.5 * (z * z).sum(axis=1)
 
 
+def coupling_widths(dim: int, hidden: int) -> list[int]:
+    """Layer widths, end to end, of a coupling layer's scale and shift nets:
+    the untouched half in, the transformed half out."""
+    return [dim // 2, hidden, hidden, dim - dim // 2]
+
+
 class CouplingLayer:
     """One invertible coupling transform with a fixed input permutation."""
 
@@ -60,12 +66,10 @@ class CouplingLayer:
             self.perm = np.arange(dim, dtype=np.int64)
         else:
             self.perm = rng.permutation(dim)
-        out = dim - self.split
-        self.scale_net = MLP([self.split, hidden, hidden, out], rng,
-                             output_activation="tanh",
+        widths = coupling_widths(dim, hidden)
+        self.scale_net = MLP(widths, rng, output_activation="tanh",
                              zero_init_last=zero_init_outputs)
-        self.shift_net = MLP([self.split, hidden, hidden, out], rng,
-                             output_activation="identity",
+        self.shift_net = MLP(widths, rng, output_activation="identity",
                              zero_init_last=zero_init_outputs)
         self._cache = None
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, Standardizer, binary_labels
 from .errors import DomainError, ModelFormatError, ShapeError
-from .flow import FlowStack, gaussian_logpdf
+from .flow import FlowStack, coupling_widths, gaussian_logpdf
 from .nn import (
     AdamState,
     DenseLayer,
@@ -31,6 +31,7 @@ from .nn import (
     SigmoidHead,
     bce_with_logits,
     gaussian_nll_loss,
+    sigmoid_head_widths,
 )
 from .numerics import Rng
 from .serialize import read_state, write_state
@@ -96,10 +97,27 @@ class FfnnModel:
     def params(self) -> list[Param]:
         return self.head.params()
 
+    @staticmethod
+    def sizes_of(stored: dict) -> dict[str, int]:
+        """The constructor sizes that a file's arrays imply."""
+        return {"dim": _length(stored, "standardizer/mean"),
+                "hidden": _length(stored, "out/weight"),
+                "n_blocks": _count(stored, "block/{}/dense/weight")}
+
+    @staticmethod
+    def layout(dim: int, hidden: int, n_blocks: int) -> list:
+        """(name, shape) of every stored array, in file order."""
+        return ([("dropout_rate", (1,))]
+                + _sigmoid_head_layout("block", "out",
+                                       sigmoid_head_widths(dim, hidden, n_blocks))
+                + _standardizer_layout(dim))
+
     def state_arrays(self) -> list:
         """Stored arrays in file order, mapped to the live arrays."""
-        return (_sigmoid_head_arrays("block", "out", self.head)
-                + _standardizer_arrays(self.standardizer))
+        return _named(self.layout(self.dim, self.hidden, self.n_blocks),
+                      [np.array([self.dropout_rate])]
+                      + [p.value for p in self.head.params()]
+                      + [self.standardizer.mean, self.standardizer.std])
 
 
 class CccpDeModel:
@@ -232,14 +250,42 @@ class CccpDeModel:
 
     # -- persistence ---------------------------------------------------------
 
+    @staticmethod
+    def sizes_of(stored: dict) -> dict[str, int]:
+        """The constructor sizes that a file's arrays imply."""
+        return {"dim": _length(stored, "standardizer/mean"),
+                "hidden": _length(stored, "disc/out/weight"),
+                "base_depth": _count(stored, "base/{}/perm"),
+                "head_depth": _count(stored, "head0/{}/perm"),
+                "disc_blocks": _count(stored, "disc/{}/dense/weight")}
+
+    @staticmethod
+    def layout(dim: int, hidden: int, base_depth: int, head_depth: int,
+               disc_blocks: int) -> list:
+        """(name, shape) of every stored array, in file order."""
+        out = [("dropout_rate", (1,)), ("class_counts", (2,))]
+        for prefix, depth in (("base", base_depth), ("head0", head_depth),
+                              ("head1", head_depth)):
+            for i in range(depth):
+                out.append((f"{prefix}/{i}/perm", (dim,)))
+                for net in ("scale", "shift"):
+                    out += _mlp_layout(f"{prefix}/{i}/{net}",
+                                       coupling_widths(dim, hidden))
+        return (out + _sigmoid_head_layout(
+                    "disc", "disc/out",
+                    sigmoid_head_widths(dim, hidden, disc_blocks))
+                + _standardizer_layout(dim))
+
     def state_arrays(self) -> list:
         """Stored arrays in file order, mapped to the live arrays."""
-        out = [("class_counts", self.class_counts)]
-        out += _flow_stack_arrays("base", self.base)
-        for k, head in enumerate(self.heads):
-            out += _flow_stack_arrays(f"head{k}", head)
-        return (out + _sigmoid_head_arrays("disc", "disc/out", self.disc)
-                + _standardizer_arrays(self.standardizer))
+        live = [np.array([self.dropout_rate]), self.class_counts]
+        for stack in (self.base, *self.heads):
+            for layer in stack.layers:
+                live += [layer.perm] + [p.value for p in layer.params()]
+        live += [p.value for p in self.disc.params()]
+        return _named(self.layout(self.dim, self.hidden, self.base_depth,
+                                  self.head_depth, self.disc_blocks),
+                      live + [self.standardizer.mean, self.standardizer.std])
 
 
 class GlmRegressor:
@@ -345,62 +391,44 @@ def _adam_epochs(model, x, y, config: TrainConfig, rng: Rng) -> list[float]:
 
 # -- persistence -------------------------------------------------------------
 
-# the kind byte of a model file -> the class it stores and the constructor
-# keywords that its metadata holds as whole numbers; every kind also stores
-# its `dropout_rate`
-_MODEL_KINDS = {
-    1: (FfnnModel, ("dim", "hidden", "n_blocks")),
-    2: (CccpDeModel, ("dim", "hidden", "base_depth", "head_depth",
-                      "disc_blocks")),
-}
+# the kind byte of a model file -> the class it stores
+_MODEL_KINDS = {1: FfnnModel, 2: CccpDeModel}
 
 
 def save_model(model, path) -> None:
     """Write a model file; load_model(path) reproduces it bit-exactly."""
-    kind_code, sizes = next((code, sizes) for code, (cls, sizes)
-                            in _MODEL_KINDS.items() if type(model) is cls)
-    meta = {key: getattr(model, key) for key in sizes + ("dropout_rate",)}
-    write_state(path, kind_code, meta, model.state_arrays())
+    kind_code = next(code for code, cls in _MODEL_KINDS.items()
+                     if type(model) is cls)
+    write_state(path, kind_code, model.state_arrays())
 
 
 def load_model(path):
-    """Build a model from a file's metadata by keyword, then copy in its
-    arrays under one rule: dtype and shape match, values are finite, the
-    standardizer std and class counts are positive, and each `*/perm` is a
-    permutation. A refused metadata key or array is named."""
-    kind_code, meta, arrays = read_state(path)
+    """Read the sizes from a file's array shapes and check every array
+    against the layout they imply under one rule, before anything is built:
+    dtype and shape match, values are finite, the standardizer std and
+    class counts are positive, and each `*/perm` is a permutation. Then
+    build the model by keyword and copy the arrays in. A refused array is
+    named."""
+    kind_code, arrays = read_state(path)
     if kind_code not in _MODEL_KINDS:
         raise ModelFormatError(f"unknown model kind code {kind_code}")
-    cls, sizes = _MODEL_KINDS[kind_code]
-    keys = sizes + ("dropout_rate",)
-    for key in keys:
-        if key not in meta:
-            raise ModelFormatError(f"model file is missing metadata {key!r}")
-    unexpected = sorted(set(meta) - set(keys))
-    if unexpected:
-        raise ModelFormatError(f"model file has unexpected metadata: {unexpected}")
-    for key in sizes:
-        if not meta[key].is_integer():
-            raise ModelFormatError(
-                f"metadata {key!r} is not a whole number, got {meta[key]}")
-    try:
-        model = cls(**{key: int(meta[key]) for key in sizes},
-                    dropout_rate=meta["dropout_rate"])
-    except DomainError as exc:
-        raise ModelFormatError(f"model file metadata: {exc}") from None
+    cls = _MODEL_KINDS[kind_code]
     stored = {}
     for name, arr in arrays:
         if name in stored:
             raise ModelFormatError(f"duplicate array {name!r}")
         stored[name] = arr
-    for name, live in model.state_arrays():
+    sizes = cls.sizes_of(stored)
+    layout = cls.layout(**sizes)
+    for name, shape in layout:
         if name not in stored:
             raise ModelFormatError(f"model file is missing array {name!r}")
-        arr = stored.pop(name)
-        if arr.dtype != live.dtype or arr.shape != live.shape:
+        arr = stored[name]
+        dtype = np.dtype(np.int64 if name.endswith("/perm") else np.float64)
+        if arr.dtype != dtype or arr.shape != shape:
             raise ModelFormatError(
                 f"array {name!r} is {arr.dtype} of shape {arr.shape}, "
-                f"expected {live.dtype} of shape {live.shape}")
+                f"expected {dtype} of shape {shape}")
         if not np.isfinite(arr).all():
             raise ModelFormatError(f"array {name} is not finite")
         if name in ("standardizer/std", "class_counts") and not (arr > 0).all():
@@ -409,44 +437,58 @@ def load_model(path):
                                                          np.arange(arr.size)):
             raise ModelFormatError(
                 f"array {name} is not a permutation of range({arr.size})")
-        live[...] = arr
-    if stored:
+    unexpected = sorted(set(stored) - {name for name, _ in layout})
+    if unexpected:
         raise ModelFormatError(
-            f"model file has unexpected arrays: {sorted(stored)}")
+            f"model file has unexpected arrays: {unexpected}")
+    try:
+        model = cls(**sizes, dropout_rate=float(stored["dropout_rate"][0]))
+    except DomainError as exc:
+        raise ModelFormatError(f"model file: {exc}") from None
+    # the live `dropout_rate` entry is a copy; the constructor took the value
+    for name, live in model.state_arrays():
+        live[...] = stored[name]
     return model
 
 
-def _mlp_arrays(prefix: str, net: MLP) -> list:
+def _length(stored: dict, name: str) -> int:
+    """A stored array's first-axis length; the layout check then compares
+    its whole shape."""
+    if name not in stored:
+        raise ModelFormatError(f"model file is missing array {name!r}")
+    return next(iter(stored[name].shape), 0)
+
+
+def _count(stored: dict, pattern: str) -> int:
+    """How many consecutive indices from 0 `pattern` names in `stored`."""
+    n = 0
+    while pattern.format(n) in stored:
+        n += 1
+    return n
+
+
+def _named(layout: list, live: list) -> list:
+    return [(name, arr) for (name, _), arr in zip(layout, live, strict=True)]
+
+
+def _dense_layout(prefix: str, n_in: int, n_out: int) -> list:
+    return [(f"{prefix}/weight", (n_in, n_out)), (f"{prefix}/bias", (n_out,))]
+
+
+def _mlp_layout(prefix: str, widths: list[int]) -> list:
+    return [entry for j in range(len(widths) - 1) for entry in
+            _dense_layout(f"{prefix}/{j}", widths[j], widths[j + 1])]
+
+
+def _sigmoid_head_layout(block_prefix: str, out_prefix: str,
+                         widths: list[int]) -> list:
     out = []
-    for j, layer in enumerate(net.layers):
-        out.append((f"{prefix}/{j}/weight", layer.weight.value))
-        out.append((f"{prefix}/{j}/bias", layer.bias.value))
-    return out
+    for i, width in enumerate(widths[1:-1]):
+        block = f"{block_prefix}/{i}"
+        out += _dense_layout(f"{block}/dense", widths[i], width) + [
+            (f"{block}/norm/gain", (width,)), (f"{block}/norm/bias", (width,))]
+    return out + _dense_layout(out_prefix, widths[-2], widths[-1])
 
 
-def _flow_stack_arrays(prefix: str, stack: FlowStack) -> list:
-    out = []
-    for i, layer in enumerate(stack.layers):
-        out.append((f"{prefix}/{i}/perm", layer.perm))
-        out += _mlp_arrays(f"{prefix}/{i}/scale", layer.scale_net)
-        out += _mlp_arrays(f"{prefix}/{i}/shift", layer.shift_net)
-    return out
-
-
-def _sigmoid_head_arrays(block_prefix: str, out_prefix: str,
-                         head: SigmoidHead) -> list:
-    out = []
-    for i, block in enumerate(head.blocks):
-        out += [
-            (f"{block_prefix}/{i}/dense/weight", block.dense.weight.value),
-            (f"{block_prefix}/{i}/dense/bias", block.dense.bias.value),
-            (f"{block_prefix}/{i}/norm/gain", block.norm.gain.value),
-            (f"{block_prefix}/{i}/norm/bias", block.norm.bias.value),
-        ]
-    return out + [(f"{out_prefix}/weight", head.out.weight.value),
-                  (f"{out_prefix}/bias", head.out.bias.value)]
-
-
-def _standardizer_arrays(standardizer: Standardizer) -> list:
-    return [("standardizer/mean", standardizer.mean),
-            ("standardizer/std", standardizer.std)]
+def _standardizer_layout(dim: int) -> list:
+    return [("standardizer/mean", (dim,)), ("standardizer/std", (dim,))]

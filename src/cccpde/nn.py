@@ -347,17 +347,23 @@ class MLP:
         return [p for layer in self.layers for p in layer.params()]
 
 
+def sigmoid_head_widths(in_size: int, hidden: int, n_blocks: int) -> list[int]:
+    """Layer widths of a sigmoid head, end to end: the input, each dense
+    block's output, and the one logit."""
+    return [in_size] + [hidden] * n_blocks + [1]
+
+
 class SigmoidHead:
     """Dense blocks, then a dense layer to one logit, then a sigmoid."""
 
     def __init__(self, in_size: int, hidden: int, n_blocks: int,
                  dropout_rate: float, rng: Rng | None = None):
-        sizes = [in_size] + [hidden] * n_blocks
+        sizes = sigmoid_head_widths(in_size, hidden, n_blocks)
         self.blocks = [
             DenseBlock(sizes[i], sizes[i + 1], dropout_rate, rng)
             for i in range(n_blocks)
         ]
-        self.out = DenseLayer(hidden, 1, rng)
+        self.out = DenseLayer(sizes[-2], sizes[-1], rng)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Per-row logits, inference mode, one row block at a time."""

@@ -3,20 +3,20 @@
 Layout, all little-endian:
 
     8s   magic  b"CCPDEBIN"
-    u32  format version (currently 2)
+    u32  format version (currently 3)
     u64  total file length in bytes
     u8   model kind code
-    u32  metadata entry count, then per entry:
-           u16 key length, key bytes (utf-8), f64 value
     u32  array count, then per array:
            u16 name length, name bytes (utf-8),
            u8 dtype (0 = float64, 1 = int64), u8 ndim,
            u32 per-dimension sizes, raw values little-endian
     u32  CRC-32 of every byte before this field
 
-Values round-trip bit-exactly; `model.py` decides which keys and arrays a
-file holds. Distinct errors cover wrong magic, any other version (format 1
-included), length mismatch (truncation), and checksum failure.
+A file is its named arrays and nothing else: no size is stored except in
+their shapes. Values round-trip bit-exactly; `model.py` decides which
+arrays, of which shapes, a file holds. Distinct errors cover wrong magic,
+any other version (formats 1 and 2 included), length mismatch
+(truncation), and checksum failure.
 """
 
 from __future__ import annotations
@@ -35,21 +35,16 @@ from .errors import (
 )
 
 MAGIC = b"CCPDEBIN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _DTYPE_CODES = {0: np.float64, 1: np.int64}
 _CODES_BY_DTYPE = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
 
 
-def write_state(path, kind_code: int, meta: dict[str, float],
+def write_state(path, kind_code: int,
                 arrays: list[tuple[str, np.ndarray]]) -> None:
     body = bytearray()
     body.append(kind_code)
-    body += struct.pack("<I", len(meta))
-    for key in sorted(meta):
-        kb = key.encode("utf-8")
-        body += struct.pack("<H", len(kb)) + kb
-        body += struct.pack("<d", float(meta[key]))
     body += struct.pack("<I", len(arrays))
     for name, arr in arrays:
         arr = np.ascontiguousarray(arr)
@@ -93,11 +88,8 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
 
-
-def read_state(path) -> tuple[int, dict[str, float], list[tuple[str, np.ndarray]]]:
+def read_state(path) -> tuple[int, list[tuple[str, np.ndarray]]]:
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 4 + 8 + 4:
         raise ModelTruncatedError(
@@ -118,10 +110,6 @@ def read_state(path) -> tuple[int, dict[str, float], list[tuple[str, np.ndarray]
         raise ModelChecksumError("checksum mismatch; file is corrupted")
     r = _Reader(data[:-4], 20)
     kind_code = r.u8()
-    meta = {}
-    for _ in range(r.u32()):
-        key = r.take(r.u16()).decode("utf-8")
-        meta[key] = r.f64()
     arrays = []
     for _ in range(r.u32()):
         name = r.take(r.u16()).decode("utf-8")
@@ -138,4 +126,4 @@ def read_state(path) -> tuple[int, dict[str, float], list[tuple[str, np.ndarray]
         arrays.append((name, arr))
     if r.pos != len(r.data):
         raise ModelFormatError(f"{len(r.data) - r.pos} unexpected trailing bytes")
-    return kind_code, meta, arrays
+    return kind_code, arrays

@@ -100,40 +100,42 @@ def beta_quantile_oracle(q, a, b):
 
 
 def conjugate_update(prior, pos_count, neg_count):
-    """The posterior `posterior_reports` gives one row whose pseudo-counts
-    are (neg_count, pos_count): unit density and volume, class sizes equal
-    to the counts. Checks that the row's shapes are the prior's plus the
-    row's counts, bit for bit."""
+    """The one-row batch `posterior_reports` gives for pseudo-counts
+    (neg_count, pos_count): unit density and volume, class sizes equal to
+    the counts. Checks that the row's shapes are the prior's plus the row's
+    counts, bit for bit."""
     batch = posterior_reports(np.zeros((1, 2)),
                               np.array([neg_count, pos_count], dtype=float),
                               prior, 1.0)
     counts = batch.counts[0]
     assert (batch.a[0], batch.b[0]) == (prior.a + counts[1], prior.b + counts[0])
-    return BetaPosterior(batch.a[0], batch.b[0])
+    return batch
 
 
 class TestBetaUpdate:
     def test_single_positive(self):
-        post = conjugate_update(BetaPosterior(1.0, 1.0), 1.0, 0.0)
-        assert (post.a, post.b) == (2.0, 1.0)
-        assert post.mean == pytest.approx(2.0 / 3.0)
+        batch = conjugate_update(BetaPosterior(1.0, 1.0), 1.0, 0.0)
+        assert (batch.a[0], batch.b[0]) == (2.0, 1.0)
+        assert batch.mean[0] == pytest.approx(2.0 / 3.0)
 
     def test_zero_counts_keep_prior(self):
-        post = conjugate_update(BetaPosterior(2.5, 0.5), 0.0, 0.0)
-        assert (post.a, post.b) == (2.5, 0.5)
+        batch = conjugate_update(BetaPosterior(2.5, 0.5), 0.0, 0.0)
+        assert (batch.a[0], batch.b[0]) == (2.5, 0.5)
 
     def test_arithmetic(self):
-        post = conjugate_update(BetaPosterior(1.0, 1.0), 10.0, 30.0)
-        assert post.mean == pytest.approx(11.0 / 42.0, rel=1e-15)
+        batch = conjugate_update(BetaPosterior(1.0, 1.0), 10.0, 30.0)
+        assert batch.mean[0] == pytest.approx(11.0 / 42.0, rel=1e-15)
 
     def test_batched_updates_commute(self):
         # the counts come back from log space (exp(log 7) is 7 + 1 ulp), so
         # the two routes agree to rounding, not bit for bit
         prior = BetaPosterior(0.5, 1.5)
-        stepwise = conjugate_update(conjugate_update(prior, 3.0, 2.0), 4.0, 7.0)
+        first = conjugate_update(prior, 3.0, 2.0)
+        stepwise = conjugate_update(BetaPosterior(first.a[0], first.b[0]),
+                                    4.0, 7.0)
         joint = conjugate_update(prior, 7.0, 9.0)
-        assert (stepwise.a, stepwise.b) == pytest.approx((joint.a, joint.b),
-                                                         rel=1e-15)
+        assert (stepwise.a[0], stepwise.b[0]) == pytest.approx(
+            (joint.a[0], joint.b[0]), rel=1e-15)
 
     def test_invalid_prior(self):
         with pytest.raises(DomainError):
@@ -277,8 +279,8 @@ class TestPriors:
     def test_prior_injection_monotone(self):
         means = []
         for a0 in [0.5, 1.0, 2.0, 4.0, 8.0]:
-            post = conjugate_update(BetaPosterior(a0, 1.0), 5.0, 5.0)
-            means.append(post.mean)
+            means.append(
+                conjugate_update(BetaPosterior(a0, 1.0), 5.0, 5.0).mean[0])
         assert all(b > a for a, b in zip(means, means[1:]))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import shlex
@@ -453,9 +455,9 @@ class TestFailedRunWritesNothing:
         assert not out.exists()
 
     def test_eval_on_zero_standardizer_std(self, toy_run, tmp_path, capsys):
-        kind, meta, arrays = read_state(toy_run["cc"])
+        kind, arrays = read_state(toy_run["cc"])
         model = tmp_path / "bad.bin"
-        write_state(model, kind, meta,
+        write_state(model, kind,
                     [(n, np.array([1.0, 0.0]) if n == "standardizer/std"
                       else a) for n, a in arrays])
         out = tmp_path / "out"
@@ -465,10 +467,10 @@ class TestFailedRunWritesNothing:
         assert not out.exists()
 
     def test_eval_on_nan_weight(self, toy_run, tmp_path, capsys):
-        kind, meta, arrays = read_state(toy_run["cc"])
+        kind, arrays = read_state(toy_run["cc"])
         name = "head1/0/shift/1/weight"
         model = tmp_path / "bad.bin"
-        write_state(model, kind, meta,
+        write_state(model, kind,
                     [(n, np.where(a == a.flat[0], np.nan, a) if n == name
                       else a) for n, a in arrays])
         out = tmp_path / "out"
@@ -754,6 +756,29 @@ def test_eval_reports_every_far_row(far_model_files, tmp_path_factory, dim,
     assert np.isfinite(post).all()
     no_support = np.isneginf(log_d).all(axis=1)
     assert all(rows[i][9] == "1" for i in np.nonzero(no_support)[0])
+
+
+@settings(max_examples=10, deadline=None)
+@given(x=far_rows(2, max_rows=8).filter(lambda x: x.shape[0] >= 2))
+def test_train_on_far_rows_loads_or_names_the_column(tmp_path_factory, x):
+    # ROADMAP item 6, train half: a model that loads and evaluates on its
+    # own training rows, or exit 1 naming the column, with nothing written
+    root = tmp_path_factory.mktemp("far-train")
+    save_csv(Dataset(x, np.arange(x.shape[0]) % 2), root / "rows.csv")
+    model = root / "m" / "cccpde.bin"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("train", "--model", "cccpde", "--data", root / "rows.csv",
+                   "--out", model, "--epochs", 1, "--hidden", 4)
+    if code == 0:
+        load_model(model)
+        assert run("eval", "--model", model, "--data", root / "rows.csv",
+                   "--out", root / "e") == 0
+    else:
+        assert code == 1
+        assert re.search(r"feature column 'f[01]' has no finite mean",
+                         err.getvalue())
+        assert not (root / "m").exists()
 
 
 LIBRARY = {"bayes", "data", "errors", "evaluate", "flow", "model", "nn",

@@ -668,10 +668,11 @@ class TestSerialization:
         assert np.array_equal(back.score(probes), model.score(probes))
 
     def test_file_layout(self, tmp_path):
-        """The model file layout, pinned: kind byte, metadata keys, and each
-        array's name, dtype and ndim in file order. A change to the layout
-        edits this list and bumps FORMAT_VERSION once, as ROADMAP's coupling
-        rules ask of the items that change the model file."""
+        """The model file layout, pinned: kind byte, and each array's name,
+        dtype and ndim in file order; there is no metadata section. A change
+        to the layout edits this list and bumps FORMAT_VERSION once, as
+        ROADMAP's coupling rules ask of the items that change the model
+        file."""
         def coupling(prefix):
             return [(f"{prefix}/perm", "int64", 1)] + [
                 (f"{prefix}/{net}/{j}/{part}", "float64", ndim)
@@ -684,30 +685,31 @@ class TestSerialization:
                                        ("norm/gain", 1), ("norm/bias", 1))] + [
                 (f"{out}/weight", "float64", 2), (f"{out}/bias", "float64", 1)]
 
+        dropout = [("dropout_rate", "float64", 1)]
         standardizer = [("standardizer/mean", "float64", 1),
                         ("standardizer/std", "float64", 1)]
         expected = {
-            "ffnn": (1, ["dim", "dropout_rate", "hidden", "n_blocks"],
-                     sigmoid_head("block", "out") + standardizer),
-            "cccpde": (2, ["base_depth", "dim", "disc_blocks", "dropout_rate",
-                           "head_depth", "hidden"],
-                       [("class_counts", "float64", 1)] + coupling("base/0")
-                       + coupling("head0/0") + coupling("head1/0")
-                       + sigmoid_head("disc", "disc/out") + standardizer),
+            "ffnn": (1, dropout + sigmoid_head("block", "out") + standardizer),
+            "cccpde": (2, dropout + [("class_counts", "float64", 1)]
+                       + coupling("base/0") + coupling("head0/0")
+                       + coupling("head1/0") + sigmoid_head("disc", "disc/out")
+                       + standardizer),
         }
         models = {
             "ffnn": FfnnModel(2, hidden=4, n_blocks=1, rng=Rng(1)),
             "cccpde": CccpDeModel(2, hidden=4, base_depth=1, head_depth=1,
                                   disc_blocks=1, rng=Rng(2)),
         }
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         for name, model in models.items():
             path = tmp_path / f"{name}.bin"
             save_model(model, path)
             assert path.read_bytes()[8:12] == FORMAT_VERSION.to_bytes(4, "little")
-            kind, meta, arrays = read_state(path)
+            kind, arrays = read_state(path)
             layout = [(n, a.dtype.name, a.ndim) for n, a in arrays]
-            assert (kind, sorted(meta), layout) == expected[name], name
+            assert (kind, layout) == expected[name], name
+            assert [(n, a.shape) for n, a in arrays] == type(model).layout(
+                **type(model).sizes_of(dict(arrays))), name
 
     def test_corrupted_byte_is_checksum_error(self, tmp_path):
         model = small_model(dim=2, seed=35)
@@ -720,10 +722,10 @@ class TestSerialization:
             load_model(path)
 
     def test_future_version_is_version_error(self, tmp_path):
-        # format 1 is refused too: no reader for it is kept
+        # formats 1 and 2 are refused too: no reader for them is kept
         model = small_model(dim=2, seed=36)
         path = tmp_path / "model.bin"
-        for version in (1, 99):
+        for version in (1, 2, 99):
             save_model(model, path)
             blob = bytearray(path.read_bytes())
             blob[8:12] = version.to_bytes(4, "little")
@@ -759,90 +761,152 @@ class TestLoaderChecks:
         save_model(model, path)
         return path, read_state(path)
 
-    def rewrite_and_load(self, path, kind, meta, arrays):
-        write_state(path, kind, meta, arrays)
+    def rewrite_and_load(self, path, kind, arrays):
+        write_state(path, kind, arrays)
         return load_model(path)
 
     def test_untouched_file_loads(self, tmp_path):
-        path, (kind, meta, arrays) = self.stored(tmp_path)
-        model = self.rewrite_and_load(path, kind, meta, arrays)
+        path, (kind, arrays) = self.stored(tmp_path)
+        model = self.rewrite_and_load(path, kind, arrays)
         assert np.array_equal(model.standardizer.std, [2.0, 0.5])
 
     def test_missing_array(self, tmp_path):
-        path, (kind, meta, arrays) = self.stored(tmp_path)
+        path, (kind, arrays) = self.stored(tmp_path)
         arrays = [(n, a) for n, a in arrays if n != "disc/out/bias"]
         with pytest.raises(ModelFormatError, match=re.escape("disc/out/bias")):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
 
     def test_extra_array(self, tmp_path):
-        path, (kind, meta, arrays) = self.stored(tmp_path)
+        path, (kind, arrays) = self.stored(tmp_path)
         arrays.append(("disc/out/extra", np.zeros(3)))
         with pytest.raises(ModelFormatError, match=re.escape("disc/out/extra")):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
 
     def test_duplicate_array(self, tmp_path):
-        path, (kind, meta, arrays) = self.stored(tmp_path)
+        path, (kind, arrays) = self.stored(tmp_path)
         arrays.append(arrays[3])
         with pytest.raises(ModelFormatError, match=re.escape(arrays[3][0])):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
 
     def test_wrong_shape(self, tmp_path):
-        path, (kind, meta, arrays) = self.stored(tmp_path)
+        path, (kind, arrays) = self.stored(tmp_path)
         name = "base/1/scale/0/weight"
         arrays = [(n, a[:, :-1] if n == name else a) for n, a in arrays]
         with pytest.raises(ModelFormatError, match=re.escape(name)):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
 
     @pytest.mark.parametrize("name, dtype", [
         ("head0/0/perm", np.float64), ("disc/out/bias", np.int64),
     ])
     def test_wrong_dtype(self, tmp_path, name, dtype):
         # an array in the other stored dtype is refused, not cast
-        path, (kind, meta, arrays) = self.stored(tmp_path)
+        path, (kind, arrays) = self.stored(tmp_path)
         arrays = [(n, a.astype(dtype) if n == name else a) for n, a in arrays]
         with pytest.raises(ModelFormatError, match=re.escape(f"{name}' is")):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
 
-    @pytest.mark.parametrize("build", [
-        lambda: small_model(dim=2, seed=38),
-        lambda: FfnnModel(2, hidden=4, n_blocks=1, rng=Rng(39)),
-    ], ids=["cccpde", "ffnn"])
-    def test_missing_metadata(self, tmp_path, build):
+    @staticmethod
+    def refuse_builds(monkeypatch):
+        """From here on, building either model fails the test, so a refusal
+        must come from the checks that run before the constructor."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} was built before "
+                                 "its arrays were checked")
+        for cls in (FfnnModel, CccpDeModel):
+            monkeypatch.setattr(cls, "__init__", refuse)
+
+    @both_models
+    def test_missing_metadata(self, tmp_path, monkeypatch, build):
+        """Format 3 has no metadata: `dropout_rate` is an array, and every
+        size is read from an array's shape. A file without one of these
+        arrays is refused by its name before any model is built."""
         path = tmp_path / "model.bin"
         save_model(build(), path)
-        kind, meta, arrays = read_state(path)
-        for key in sorted(meta):
-            dropped = {k: v for k, v in meta.items() if k != key}
+        kind, arrays = read_state(path)
+        self.refuse_builds(monkeypatch)
+        for name in ("dropout_rate", "standardizer/mean",
+                     "disc/out/weight" if kind == 2 else "out/weight"):
             with pytest.raises(ModelFormatError,
-                               match=re.escape(f"missing metadata {key!r}")):
-                self.rewrite_and_load(path, kind, dropped, arrays)
+                               match=re.escape(f"missing array {name!r}")):
+                self.rewrite_and_load(path, kind,
+                                      [(n, a) for n, a in arrays if n != name])
 
     @pytest.mark.parametrize("key, value", [
         ("n_classes", 1.0), ("n_classes", 2.0), ("n_classes", 3.0),
-        ("has_standardizer", 1.0), ("dropout", 0.0),
+        ("has_standardizer", 1.0), ("dropout", 0.0), ("hidden", 6.0),
+        ("disc_blocks", 2.0),
     ])
-    def test_unexpected_metadata(self, tmp_path, key, value):
-        # format-1 keys among them: the file stores each fact once
-        path, (kind, meta, arrays) = self.stored(tmp_path)
-        assert key not in meta
+    def test_unexpected_metadata(self, tmp_path, monkeypatch, key, value):
+        # format-1 and format-2 metadata keys, stored as arrays: the file
+        # holds each fact once, in the arrays the layout names
+        path, (kind, arrays) = self.stored(tmp_path)
+        assert key not in dict(arrays)
+        self.refuse_builds(monkeypatch)
         with pytest.raises(ModelFormatError,
-                           match=re.escape(f"unexpected metadata: ['{key}']")):
-            self.rewrite_and_load(path, kind, {**meta, key: value}, arrays)
+                           match=re.escape(f"unexpected arrays: ['{key}']")):
+            self.rewrite_and_load(path, kind,
+                                  arrays + [(key, np.array([value]))])
 
-    @both_models
-    def test_sizes_must_be_whole_and_in_range(self, tmp_path, build):
+    @pytest.mark.parametrize("build", [
+        lambda: small_model(dim=2, seed=38, head_depth=2),
+        lambda: FfnnModel(2, hidden=4, n_blocks=2, rng=Rng(39)),
+    ], ids=["cccpde", "ffnn"])
+    def test_sizes_must_be_whole_and_in_range(self, tmp_path, monkeypatch,
+                                              build):
+        """Sizes are read from array shapes, so they are whole numbers; they
+        are in range when every stored shape matches the layout they imply.
+        Each crafted file is refused by an array's name before any model is
+        built, so none allocates the hidden x hidden weights its sigmoid
+        head's output weight claims."""
         path = tmp_path / "model.bin"
         save_model(build(), path)
-        kind, meta, arrays = read_state(path)
-        for key in sorted(set(meta) - {"dropout_rate"}):
-            for value in (np.nan, np.inf, -np.inf, 4.7, meta[key] + 0.9):
-                with pytest.raises(ModelFormatError, match=re.escape(
-                        f"metadata {key!r} is not a whole number")):
-                    self.rewrite_and_load(path, kind, {**meta, key: value},
-                                          arrays)
-            # a whole number that no model has: a named error, not numpy's
-            with pytest.raises(ModelFormatError, match="model file metadata"):
-                self.rewrite_and_load(path, kind, {**meta, key: -1.0}, arrays)
+        kind, arrays = read_state(path)
+        out = "disc/out/weight" if kind == 2 else "out/weight"
+
+        def replaced(name, arr):
+            return [(n, arr if n == name else a) for n, a in arrays]
+
+        crafted = [
+            (replaced(out, np.zeros((1_000_000, 1))),
+             r"array '\S+' is float64 of shape \(\d+, \d+\), expected "
+             r"float64 of shape \(\d+, 1000000\)"),
+            (replaced(out, np.zeros((2**31, 0))),
+             r"array '\S+' is float64 of shape \(\d+, \d+\), expected "
+             r"float64 of shape \(\d+, 2147483648\)"),
+            (replaced("dropout_rate", np.array([np.nan])),
+             re.escape("array dropout_rate is not finite")),
+            (replaced("dropout_rate", np.zeros(2)),
+             re.escape("array 'dropout_rate' is float64 of shape (2,)")),
+        ]
+        if kind == 2:
+            # head1 one layer deeper than head0
+            crafted.append((arrays + [
+                (n.replace("head1/1/", "head1/2/"), a) for n, a in arrays
+                if n.startswith("head1/1/")],
+                re.escape("unexpected arrays: ['head1/2/perm', ")))
+        else:
+            # a gap in block/{i}: the blocks counted stop at the gap
+            crafted.append(([(n.replace("block/1/", "block/2/"), a)
+                             for n, a in arrays],
+                            re.escape("unexpected arrays: "
+                                      "['block/2/dense/bias', ")))
+        self.refuse_builds(monkeypatch)
+        for crafted_arrays, message in crafted:
+            with pytest.raises(ModelFormatError, match=message):
+                self.rewrite_and_load(path, kind, crafted_arrays)
+
+    @both_models
+    def test_dropout_rate_out_of_range(self, tmp_path, build):
+        # a finite (1,) array passes the layout; the constructor refuses it
+        path = tmp_path / "model.bin"
+        save_model(build(), path)
+        kind, arrays = read_state(path)
+        for rate in (1.0, -0.5):
+            with pytest.raises(ModelFormatError, match=re.escape(
+                    f"dropout must lie in [0, 1), got {rate}")):
+                self.rewrite_and_load(path, kind, [
+                    (n, np.array([rate]) if n == "dropout_rate" else a)
+                    for n, a in arrays])
 
     @both_models
     def test_every_array_checked(self, tmp_path, build):
@@ -850,7 +914,7 @@ class TestLoaderChecks:
         standardizer std and class counts also as 0 and -1."""
         path = tmp_path / "model.bin"
         save_model(build(), path)
-        kind, meta, arrays = read_state(path)
+        kind, arrays = read_state(path)
         floats = [i for i, (_, a) in enumerate(arrays) if a.dtype == np.float64]
         assert len(floats) > 5
         for i in floats:
@@ -864,16 +928,16 @@ class TestLoaderChecks:
                 with pytest.raises(ModelFormatError,
                                    match=re.escape(f"array {name} is not")):
                     self.rewrite_and_load(
-                        path, kind, meta,
+                        path, kind,
                         arrays[:i] + [(name, broken)] + arrays[i + 1:])
 
     def test_perm_not_a_permutation(self, tmp_path):
-        path, (kind, meta, arrays) = self.stored(tmp_path)
+        path, (kind, arrays) = self.stored(tmp_path)
         name = "head1/0/perm"
         arrays = [(n, np.zeros(2, dtype=np.int64) if n == name else a)
                   for n, a in arrays]
         with pytest.raises(ModelFormatError, match=re.escape(name)):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
 
     @pytest.mark.parametrize("name, values", [
         ("standardizer/std", [1.0, 0.0, -2.0]),
@@ -885,11 +949,11 @@ class TestLoaderChecks:
                                                    values):
         path = tmp_path / "model.bin"
         save_model(small_model(dim=3, seed=38), path)
-        kind, meta, arrays = read_state(path)
+        kind, arrays = read_state(path)
         arrays = [(n, np.array(values) if n == name else a)
                   for n, a in arrays]
         with pytest.raises(ModelFormatError, match=re.escape(name)):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
 
     @pytest.mark.parametrize("name, values", [
         *(("class_counts", [v, 100.0]) for v in (np.nan, np.inf, 0.0, -1.0)),
@@ -901,10 +965,10 @@ class TestLoaderChecks:
     def test_class_arrays_out_of_range(self, tmp_path, name, values):
         """Bad class counts are refused; so is a stored `class_priors` of any
         value, which the model derives from the counts instead."""
-        path, (kind, meta, arrays) = self.stored(tmp_path)
+        path, (kind, arrays) = self.stored(tmp_path)
         arrays = [(n, a) for n, a in arrays if n != name]
         arrays.append((name, np.array(values)))
         expected = ("unexpected arrays: ['class_priors']"
                     if name == "class_priors" else f"array {name} is not")
         with pytest.raises(ModelFormatError, match=re.escape(expected)):
-            self.rewrite_and_load(path, kind, meta, arrays)
+            self.rewrite_and_load(path, kind, arrays)
