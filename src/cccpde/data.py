@@ -64,13 +64,24 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _check_variance(var) -> float:
-    """A component's variance: one positive scalar, shared by every axis."""
-    var = np.asarray(var, dtype=np.float64)
-    if var.ndim != 0 or not 0.0 < var < math.inf:
-        raise DomainError(
-            f"component variance must be a positive finite scalar, got {var}")
-    return float(var)
+def _checked_components(components: list) -> list:
+    """The components, checked, with each center as a float64 vector."""
+    if not components:
+        raise DomainError("mixture needs at least one component")
+    dim = len(np.atleast_1d(components[0][1]))
+    out = []
+    for label, center, var, count in components:
+        if count < 1:
+            raise DomainError(f"component counts must be >= 1, got {count}")
+        center = np.asarray(center, dtype=np.float64).reshape(-1)
+        if center.size != dim:
+            raise ShapeError(f"center length {center.size} != dim {dim}")
+        var = np.asarray(var, dtype=np.float64)
+        if var.ndim != 0 or not 0.0 < var < math.inf:
+            raise DomainError(f"component variance must be a positive "
+                              f"finite scalar, got {var}")
+        out.append((label, center, float(var), count))
+    return out
 
 
 def gen_mixture(components: list[tuple[int, np.ndarray, float, int]],
@@ -81,23 +92,35 @@ def gen_mixture(components: list[tuple[int, np.ndarray, float, int]],
     is a positive scalar, shared by every axis. Components are emitted in
     order, deterministically under the seed.
     """
-    if not components:
-        raise DomainError("mixture needs at least one component")
     rng = Rng(seed)
     blocks = []
     labels = []
-    dim = len(np.atleast_1d(components[0][1]))
-    for label, center, var, count in components:
-        if count < 1:
-            raise DomainError(f"component counts must be >= 1, got {count}")
-        center = np.asarray(center, dtype=np.float64).reshape(-1)
-        if center.size != dim:
-            raise ShapeError(f"center length {center.size} != dim {dim}")
-        scale = math.sqrt(_check_variance(var))
-        z = rng.normals(count * dim).reshape(count, dim)
-        blocks.append(center[None, :] + z * scale)
+    for label, center, var, count in _checked_components(components):
+        z = rng.normals(count * center.size).reshape(count, center.size)
+        blocks.append(center[None, :] + z * math.sqrt(var))
         labels.append(np.full(count, label, dtype=np.int64))
     return Dataset(np.vstack(blocks), np.concatenate(labels), name=name)
+
+
+def mixture_log_densities(components: list, x: np.ndarray) -> np.ndarray:
+    """Each class's true log-density at the rows of `x`, shape (n, 2), for
+    a (label, center, variance, count) list as `gen_mixture` takes it: a
+    class's components weighted by their shares of its rows, and -inf for
+    a class with none."""
+    components = _checked_components(components)
+    dim = components[0][1].size
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ShapeError(f"x must be (n, {dim}), got {x.shape}")
+    binary_labels([label for label, *_ in components])
+    out = np.full((x.shape[0], 2), -np.inf)
+    for label, center, var, count in components:
+        rows = sum(n for k, *_, n in components if k == label)
+        log_p = (math.log(count / rows)
+                 - 0.5 * dim * math.log(2.0 * math.pi * var)
+                 - 0.5 * ((x - center) ** 2).sum(axis=1) / var)
+        out[:, label] = np.logaddexp(out[:, label], log_p)
+    return out
 
 
 def separable_components(n_per_class: int) -> list:

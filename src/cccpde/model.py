@@ -16,7 +16,9 @@ standardized model space.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -105,12 +107,12 @@ class FfnnModel:
                 "n_blocks": _count(stored, "block/{}/dense/weight")}
 
     @staticmethod
-    def layout(dim: int, hidden: int, n_blocks: int) -> list:
-        """(name, shape) of every stored array, in file order."""
-        return ([("dropout_rate", (1,))]
-                + _sigmoid_head_layout("block", "out",
-                                       sigmoid_head_widths(dim, hidden, n_blocks))
-                + _standardizer_layout(dim))
+    def layout(dim: int, hidden: int, n_blocks: int) -> Iterator:
+        """(name, shape) of every stored array, in file order, lazily."""
+        yield "dropout_rate", (1,)
+        yield from _sigmoid_head_layout(
+            "block", "out", sigmoid_head_widths(dim, hidden, n_blocks))
+        yield from _standardizer_layout(dim)
 
     def state_arrays(self) -> list:
         """Stored arrays in file order, mapped to the live arrays."""
@@ -261,20 +263,20 @@ class CccpDeModel:
 
     @staticmethod
     def layout(dim: int, hidden: int, base_depth: int, head_depth: int,
-               disc_blocks: int) -> list:
-        """(name, shape) of every stored array, in file order."""
-        out = [("dropout_rate", (1,)), ("class_counts", (2,))]
+               disc_blocks: int) -> Iterator:
+        """(name, shape) of every stored array, in file order, lazily."""
+        yield "dropout_rate", (1,)
+        yield "class_counts", (2,)
         for prefix, depth in (("base", base_depth), ("head0", head_depth),
                               ("head1", head_depth)):
             for i in range(depth):
-                out.append((f"{prefix}/{i}/perm", (dim,)))
+                yield f"{prefix}/{i}/perm", (dim,)
                 for net in ("scale", "shift"):
-                    out += _mlp_layout(f"{prefix}/{i}/{net}",
-                                       coupling_widths(dim, hidden))
-        return (out + _sigmoid_head_layout(
-                    "disc", "disc/out",
-                    sigmoid_head_widths(dim, hidden, disc_blocks))
-                + _standardizer_layout(dim))
+                    yield from _mlp_layout(f"{prefix}/{i}/{net}",
+                                           coupling_widths(dim, hidden))
+        yield from _sigmoid_head_layout(
+            "disc", "disc/out", sigmoid_head_widths(dim, hidden, disc_blocks))
+        yield from _standardizer_layout(dim)
 
     def state_arrays(self) -> list:
         """Stored arrays in file order, mapped to the live arrays."""
@@ -403,27 +405,25 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Read the sizes from a file's array shapes and check every array
-    against the layout they imply under one rule, before anything is built:
-    dtype and shape match, values are finite, the standardizer std and
-    class counts are positive, and each `*/perm` is a permutation. Then
-    build the model by keyword and copy the arrays in. A refused array is
-    named."""
+    """Check a file's arrays against its class's layout in one ordered
+    pass, then build the model by keyword and copy the arrays in.
+
+    The sizes come from the array shapes. The i-th stored array must be the
+    i-th layout entry, so a missing, extra, duplicated or reordered array
+    is refused where the names first differ. Each array then passes one
+    rule: dtype and shape, finite values, positive standardizer std and
+    class counts, and `*/perm` a permutation. The layout is read only up
+    to the first refusal, which names the array."""
     kind_code, arrays = read_state(path)
     if kind_code not in _MODEL_KINDS:
         raise ModelFormatError(f"unknown model kind code {kind_code}")
     cls = _MODEL_KINDS[kind_code]
-    stored = {}
-    for name, arr in arrays:
-        if name in stored:
-            raise ModelFormatError(f"duplicate array {name!r}")
-        stored[name] = arr
-    sizes = cls.sizes_of(stored)
-    layout = cls.layout(**sizes)
-    for name, shape in layout:
-        if name not in stored:
-            raise ModelFormatError(f"model file is missing array {name!r}")
-        arr = stored[name]
+    sizes = cls.sizes_of(dict(arrays))
+    for i, ((name, arr), (expected, shape)) in enumerate(zip_longest(
+            arrays, cls.layout(**sizes), fillvalue=(None, None))):
+        if name != expected:
+            raise ModelFormatError(f"array {i} is {_name_or_end(name)}; the "
+                                   f"layout expects {_name_or_end(expected)}")
         dtype = np.dtype(np.int64 if name.endswith("/perm") else np.float64)
         if arr.dtype != dtype or arr.shape != shape:
             raise ModelFormatError(
@@ -437,18 +437,18 @@ def load_model(path):
                                                          np.arange(arr.size)):
             raise ModelFormatError(
                 f"array {name} is not a permutation of range({arr.size})")
-    unexpected = sorted(set(stored) - {name for name, _ in layout})
-    if unexpected:
-        raise ModelFormatError(
-            f"model file has unexpected arrays: {unexpected}")
-    try:
-        model = cls(**sizes, dropout_rate=float(stored["dropout_rate"][0]))
+    try:  # every layout starts with `dropout_rate`
+        model = cls(**sizes, dropout_rate=float(arrays[0][1][0]))
     except DomainError as exc:
         raise ModelFormatError(f"model file: {exc}") from None
     # the live `dropout_rate` entry is a copy; the constructor took the value
-    for name, live in model.state_arrays():
-        live[...] = stored[name]
+    for (_, live), (_, arr) in zip(model.state_arrays(), arrays, strict=True):
+        live[...] = arr
     return model
+
+
+def _name_or_end(name: str | None) -> str:
+    return "the end of the file" if name is None else repr(name)
 
 
 def _length(stored: dict, name: str) -> int:
@@ -467,7 +467,7 @@ def _count(stored: dict, pattern: str) -> int:
     return n
 
 
-def _named(layout: list, live: list) -> list:
+def _named(layout: Iterator, live: list) -> list:
     return [(name, arr) for (name, _), arr in zip(layout, live, strict=True)]
 
 
@@ -481,13 +481,12 @@ def _mlp_layout(prefix: str, widths: list[int]) -> list:
 
 
 def _sigmoid_head_layout(block_prefix: str, out_prefix: str,
-                         widths: list[int]) -> list:
-    out = []
+                         widths: list[int]) -> Iterator:
     for i, width in enumerate(widths[1:-1]):
         block = f"{block_prefix}/{i}"
-        out += _dense_layout(f"{block}/dense", widths[i], width) + [
+        yield from _dense_layout(f"{block}/dense", widths[i], width) + [
             (f"{block}/norm/gain", (width,)), (f"{block}/norm/bias", (width,))]
-    return out + _dense_layout(out_prefix, widths[-2], widths[-1])
+    yield from _dense_layout(out_prefix, widths[-2], widths[-1])
 
 
 def _standardizer_layout(dim: int) -> list:

@@ -14,13 +14,14 @@ Layout, all little-endian:
 
 A file is its named arrays and nothing else: no size is stored except in
 their shapes. Values round-trip bit-exactly; `model.py` decides which
-arrays, of which shapes, a file holds. Distinct errors cover wrong magic,
-any other version (formats 1 and 2 included), length mismatch
-(truncation), and checksum failure.
+arrays, of which shapes and in which order, a file holds. Distinct errors
+cover wrong magic, any other version (formats 1 and 2 included), length
+mismatch or an oversized array header (truncation), and checksum failure.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -119,8 +120,8 @@ def read_state(path) -> tuple[int, list[tuple[str, np.ndarray]]]:
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
         dtype = np.dtype(_DTYPE_CODES[dtype_code]).newbyteorder("<")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.take(count * dtype.itemsize)
+        # a Python int: a product of u32 sizes may pass 2**63 and not wrap
+        raw = r.take(math.prod(shape) * dtype.itemsize)
         arr = np.frombuffer(raw, dtype=dtype).astype(
             _DTYPE_CODES[dtype_code]).reshape(shape)
         arrays.append((name, arr))

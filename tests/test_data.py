@@ -6,13 +6,17 @@ from cccpde.data import (
     PRESETS,
     Dataset,
     Standardizer,
+    composite_components,
     gen_mixture,
     gen_regression_1d,
+    heldout_component,
     load_csv,
+    mixture_log_densities,
     overlap_components,
     preset_datasets,
     regression_true_std,
     save_csv,
+    separable_components,
     write_csv,
 )
 from cccpde.errors import CsvFormatError, DomainError, ShapeError
@@ -72,6 +76,57 @@ class TestGenMixture:
         comps = overlap_components(2000, separation=0.0)
         assert comps[0][1] == comps[1][1]
 
+
+
+def wide16_like(n_rows):
+    # the bench's 16-D composite: two tight clusters and a shared blob
+    def center(x0):
+        return np.r_[x0, np.zeros(15)]
+    quarter = n_rows // 4
+    return [(0, center(-3.0), 0.7, quarter), (0, center(0.0), 1.0, quarter),
+            (1, center(3.0), 0.7, quarter), (1, center(0.0), 1.0, quarter)]
+
+
+class TestMixtureLogDensities:
+    """The true per-class log-densities, checked against scipy's normal."""
+
+    @pytest.mark.parametrize("components", [
+        # composite's odd count gives its components unequal weights
+        separable_components(30), overlap_components(30, separation=1.5),
+        composite_components(31), wide16_like(200),
+    ], ids=["separable", "overlap", "composite", "wide16"])
+    def test_matches_scipy_mixture(self, components):
+        from scipy.special import logsumexp
+        from scipy.stats import multivariate_normal
+
+        dim = len(components[0][1])
+        x = 3.0 * Rng(4).normals(300 * dim).reshape(300, dim)
+        got = mixture_log_densities(components, x)
+        assert got.shape == (300, 2)
+        for k in (0, 1):
+            own = [c for c in components if c[0] == k]
+            rows = sum(count for *_, count in own)
+            expected = logsumexp([
+                np.log(count / rows) + multivariate_normal(
+                    center, var * np.eye(dim)).logpdf(x)
+                for _, center, var, count in own], axis=0)
+            np.testing.assert_allclose(got[:, k], expected, rtol=1e-12,
+                                       atol=1e-12)
+
+    def test_class_without_components_is_minus_inf(self):
+        out = mixture_log_densities([heldout_component(10)], np.zeros((3, 2)))
+        assert np.isfinite(out[:, 0]).all()
+        assert np.all(out[:, 1] == -np.inf)
+
+    def test_refuses_bad_input(self):
+        comps = separable_components(5)
+        with pytest.raises(ShapeError, match=r"got \(4, 3\)"):
+            mixture_log_densities(comps, np.zeros((4, 3)))
+        with pytest.raises(DomainError, match="0 or 1, got 2"):
+            mixture_log_densities(comps + [(2, (0.0, 0.0), 1.0, 5)],
+                                  np.zeros((1, 2)))
+        with pytest.raises(DomainError, match="positive finite scalar"):
+            mixture_log_densities([(0, (0.0, 0.0), 0.0, 5)], np.zeros((1, 2)))
 
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):

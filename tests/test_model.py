@@ -1,8 +1,10 @@
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,7 @@ from cccpde.nn import (
     bce_with_logits,
 )
 from cccpde.numerics import Rng, derive_seed
-from cccpde.serialize import FORMAT_VERSION, read_state, write_state
+from cccpde.serialize import FORMAT_VERSION, MAGIC, read_state, write_state
 
 from helpers import (
     far_rows,
@@ -708,8 +710,9 @@ class TestSerialization:
             kind, arrays = read_state(path)
             layout = [(n, a.dtype.name, a.ndim) for n, a in arrays]
             assert (kind, layout) == expected[name], name
-            assert [(n, a.shape) for n, a in arrays] == type(model).layout(
-                **type(model).sizes_of(dict(arrays))), name
+            sizes = type(model).sizes_of(dict(arrays))
+            assert [(n, a.shape) for n, a in arrays] == list(
+                type(model).layout(**sizes)), name
 
     def test_corrupted_byte_is_checksum_error(self, tmp_path):
         model = small_model(dim=2, seed=35)
@@ -741,6 +744,21 @@ class TestSerialization:
         path.write_bytes(blob[:-10])
         with pytest.raises(ModelTruncatedError):
             load_model(path)
+
+    @pytest.mark.parametrize("shape", [(2**21, 2**21, 2**21),
+                                       (2**31, 2**31, 4)],
+                             ids=["2**63-values", "2**64-values"])
+    def test_overflowing_shape_is_truncation_error(self, tmp_path, shape):
+        # a header whose value count passes 2**63 asks for more bytes than
+        # the file holds; the count must not wrap in a fixed-width int
+        body = (struct.pack("<BIH", 2, 1, 1) + b"x"  # kind, count, name
+                + struct.pack(f"<BB{len(shape)}I", 0, len(shape), *shape))
+        blob = MAGIC + struct.pack("<IQ", FORMAT_VERSION, 20 + len(body) + 4)
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob + body + struct.pack(
+            "<I", zlib.crc32(blob + body)))
+        with pytest.raises(ModelTruncatedError, match="file ends \\d+ bytes"):
+            read_state(path)
 
     def test_wrong_magic_is_format_error(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -788,6 +806,42 @@ class TestLoaderChecks:
         with pytest.raises(ModelFormatError, match=re.escape(arrays[3][0])):
             self.rewrite_and_load(path, kind, arrays)
 
+    def test_reordered_arrays(self, tmp_path):
+        # two arrays of one shape, swapped: every name and shape is right,
+        # but the i-th stored array must be the i-th of the layout
+        path, (kind, arrays) = self.stored(tmp_path)
+        names = [n for n, _ in arrays]
+        i, j = names.index("disc/0/norm/gain"), names.index("disc/0/norm/bias")
+        arrays[i], arrays[j] = arrays[j], arrays[i]
+        with pytest.raises(ModelFormatError, match=re.escape(
+                f"array {i} is 'disc/0/norm/bias'; the layout expects "
+                "'disc/0/norm/gain'")):
+            self.rewrite_and_load(path, kind, arrays)
+
+    def test_refusal_costs_no_more_than_reading(self, tmp_path):
+        """20,000 extra `base/{i}/perm` names claim a base 20,002 layers
+        deep. The file is refused where it first leaves the layout, and
+        the loader's traced peak stays within twice that of reading the
+        file, so no layout of the claimed depth is built."""
+        path, (kind, arrays) = self.stored(tmp_path)
+        perm = np.arange(2, dtype=np.int64)
+        write_state(path, kind, arrays + [(f"base/{i}/perm", perm)
+                                          for i in range(2, 20_002)])
+        peaks, refusal = [], None
+        for step in (lambda: read_state(path), lambda: load_model(path)):
+            tracemalloc.start()
+            try:
+                step()
+            except ModelFormatError as exc:
+                refusal = str(exc)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+        first = [n for n, _ in arrays].index("head0/0/perm")
+        assert refusal == (f"array {first} is 'head0/0/perm'; the layout "
+                           "expects 'base/2/perm'")
+
     def test_wrong_shape(self, tmp_path):
         path, (kind, arrays) = self.stored(tmp_path)
         name = "base/1/scale/0/weight"
@@ -819,15 +873,16 @@ class TestLoaderChecks:
     def test_missing_metadata(self, tmp_path, monkeypatch, build):
         """Format 3 has no metadata: `dropout_rate` is an array, and every
         size is read from an array's shape. A file without one of these
-        arrays is refused by its name before any model is built."""
+        arrays is refused by its name before any model is built: a size
+        array as missing, `dropout_rate` where the layout expects it."""
         path = tmp_path / "model.bin"
         save_model(build(), path)
         kind, arrays = read_state(path)
         self.refuse_builds(monkeypatch)
         for name in ("dropout_rate", "standardizer/mean",
                      "disc/out/weight" if kind == 2 else "out/weight"):
-            with pytest.raises(ModelFormatError,
-                               match=re.escape(f"missing array {name!r}")):
+            with pytest.raises(ModelFormatError, match="(missing array|the "
+                               f"layout expects) {re.escape(repr(name))}"):
                 self.rewrite_and_load(path, kind,
                                       [(n, a) for n, a in arrays if n != name])
 
@@ -842,8 +897,9 @@ class TestLoaderChecks:
         path, (kind, arrays) = self.stored(tmp_path)
         assert key not in dict(arrays)
         self.refuse_builds(monkeypatch)
-        with pytest.raises(ModelFormatError,
-                           match=re.escape(f"unexpected arrays: ['{key}']")):
+        with pytest.raises(ModelFormatError, match=re.escape(
+                f"array {len(arrays)} is '{key}'; the layout expects the "
+                "end of the file")):
             self.rewrite_and_load(path, kind,
                                   arrays + [(key, np.array([value]))])
 
@@ -883,13 +939,14 @@ class TestLoaderChecks:
             crafted.append((arrays + [
                 (n.replace("head1/1/", "head1/2/"), a) for n, a in arrays
                 if n.startswith("head1/1/")],
-                re.escape("unexpected arrays: ['head1/2/perm', ")))
+                re.escape(f"array {len(arrays)} is 'head1/2/perm'; the "
+                          "layout expects the end of the file")))
         else:
             # a gap in block/{i}: the blocks counted stop at the gap
             crafted.append(([(n.replace("block/1/", "block/2/"), a)
                              for n, a in arrays],
-                            re.escape("unexpected arrays: "
-                                      "['block/2/dense/bias', ")))
+                            re.escape("array 5 is 'block/2/dense/weight'; "
+                                      "the layout expects 'out/weight'")))
         self.refuse_builds(monkeypatch)
         for crafted_arrays, message in crafted:
             with pytest.raises(ModelFormatError, match=message):
@@ -966,9 +1023,13 @@ class TestLoaderChecks:
         """Bad class counts are refused; so is a stored `class_priors` of any
         value, which the model derives from the counts instead."""
         path, (kind, arrays) = self.stored(tmp_path)
-        arrays = [(n, a) for n, a in arrays if n != name]
-        arrays.append((name, np.array(values)))
-        expected = ("unexpected arrays: ['class_priors']"
-                    if name == "class_priors" else f"array {name} is not")
+        if name == "class_counts":
+            arrays = [(n, np.array(values) if n == name else a)
+                      for n, a in arrays]
+            expected = f"array {name} is not"
+        else:
+            expected = (f"array {len(arrays)} is 'class_priors'; the layout "
+                        "expects the end of the file")
+            arrays.append((name, np.array(values)))
         with pytest.raises(ModelFormatError, match=re.escape(expected)):
             self.rewrite_and_load(path, kind, arrays)
