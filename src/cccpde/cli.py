@@ -17,7 +17,7 @@ error, 1 runtime error. Only full flag names parse: an abbreviation such
 as `--epoch` is a usage error.
 
 Every process pays for its imports before any work, so this module's top
-imports only argparse, sys and pathlib, and each `_cmd_*` imports what it
+imports only argparse, os, sys and pathlib, and each `_cmd_*` imports what it
 runs at its own top. `--help` and usage errors thus load neither numpy
 nor a library module (the parser reads the preset names from
 `cccpde.presets`); `gen-data` loads no model code, and `train`, `sample`
@@ -27,6 +27,7 @@ and `glm-demo` load neither `bayes` nor `evaluate`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -329,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread unless set, before any subcommand imports numpy
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -6,18 +6,19 @@ the log-determinant of that forward map, so a stack's log-density is
     log p(x) = log N(z; 0, I) + sum of per-layer forward log-dets
 
 with z the stacked forward image of x. Sampling inverts the stack on
-standard-normal draws. Each layer permutes its input, passes the first
-`dim // 2` coordinates through unchanged, and affinely transforms the rest
-with scale/shift networks fed by the untouched half; the scale net ends in
-tanh so per-layer stretching stays within a factor of e.
+standard-normal draws. Each coupling layer reverses its input (Glow's
+fixed "reverse" order), passes the first `dim // 2` coordinates through
+unchanged, and affinely transforms the rest with scale/shift networks fed
+by the untouched half; the scale net ends in tanh so per-layer stretching
+stays within a factor of e.
 
 Calling a layer or stack, `layer(x)`, is the pure inference pass and
 stores nothing; `inverse` is pure too. `forward`/`backward` are the
 training pair: `forward` computes what `layer(x)` computes and keeps what
 `backward` needs on the layer until the next `forward`: the transformed
-half of the permuted input (a view, so the permuted input stays alive) and
-exp(scale), while the scale and shift nets keep their own MLP caches (see
-`cccpde.nn`). A stack keeps nothing beyond its layers' caches.
+half of the reversed input (a view of the input) and exp(scale), while the
+scale and shift nets keep their own MLP caches (see `cccpde.nn`). A stack
+keeps nothing beyond its layers' caches.
 
 A stack's pure calls, `stack(x)` and `stack.inverse(z)`, run the rows in
 blocks of `nn.BLOCK_ROWS` (`nn.row_blocks`): each block passes through every
@@ -53,8 +54,38 @@ def coupling_widths(dim: int, hidden: int) -> list[int]:
     return [dim // 2, hidden, hidden, dim - dim // 2]
 
 
+class ElementwiseAffine:
+    """h = (x - shift) * exp(-log_scale), log-det -sum(log_scale): a class
+    head's input map, the identity until `train` fits it to the class."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.shift, self.log_scale = Param(np.zeros(dim)), Param(np.zeros(dim))
+        self._out = None
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = self.log_scale.value
+        return (x - self.shift.value) * np.exp(-s), np.full(x.shape[0], -s.sum())
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self._out, log_det = self(x)
+        return self._out, log_det
+
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        return y * np.exp(self.log_scale.value) + self.shift.value
+
+    def backward(self, g_y: np.ndarray, g_log_det: np.ndarray) -> np.ndarray:
+        g_x = g_y * np.exp(-self.log_scale.value)
+        self.shift.grad -= g_x.sum(axis=0)
+        self.log_scale.grad -= (g_y * self._out).sum(axis=0) + g_log_det.sum()
+        return g_x
+
+    def params(self) -> list[Param]:
+        return [self.shift, self.log_scale]
+
+
 class CouplingLayer:
-    """One invertible coupling transform with a fixed input permutation."""
+    """One invertible coupling transform of the reversed input."""
 
     def __init__(self, dim: int, hidden: int, rng: Rng | None = None,
                  zero_init_outputs: bool = True):
@@ -62,20 +93,12 @@ class CouplingLayer:
             raise DomainError(f"coupling layers need dim >= 2, got {dim}")
         self.dim = dim
         self.split = dim // 2
-        if rng is None:
-            self.perm = np.arange(dim, dtype=np.int64)
-        else:
-            self.perm = rng.permutation(dim)
         widths = coupling_widths(dim, hidden)
         self.scale_net = MLP(widths, rng, output_activation="tanh",
                              zero_init_last=zero_init_outputs)
         self.shift_net = MLP(widths, rng, output_activation="identity",
                              zero_init_last=zero_init_outputs)
         self._cache = None
-
-    @property
-    def inv_perm(self) -> np.ndarray:
-        return np.argsort(self.perm)
 
     def _check(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -85,7 +108,7 @@ class CouplingLayer:
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Data -> latent; returns (y, per-row log-det)."""
         self._check(x)
-        xp = x[:, self.perm]
+        xp = x[:, ::-1]
         left = xp[:, :self.split]
         scale = self.scale_net(left)
         shift = self.shift_net(left)
@@ -95,9 +118,8 @@ class CouplingLayer:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._check(x)
-        xp = x[:, self.perm]
-        left = xp[:, :self.split]
-        right = xp[:, self.split:]
+        xp = x[:, ::-1]
+        left, right = xp[:, :self.split], xp[:, self.split:]
         scale = self.scale_net.forward(left)
         shift = self.shift_net.forward(left)
         stretched = np.exp(scale)
@@ -108,12 +130,11 @@ class CouplingLayer:
     def inverse(self, y: np.ndarray) -> np.ndarray:
         """Exact algebraic inverse of the data -> latent map."""
         self._check(y)
-        left = y[:, :self.split]
-        right = y[:, self.split:]
+        left, right = y[:, :self.split], y[:, self.split:]
         scale = self.scale_net(left)
         shift = self.shift_net(left)
         xp = np.concatenate([left, (right - shift) * np.exp(-scale)], axis=1)
-        return xp[:, self.inv_perm]
+        return xp[:, ::-1]
 
     def backward(self, g_y: np.ndarray,
                  g_log_det: np.ndarray) -> np.ndarray:
@@ -124,28 +145,29 @@ class CouplingLayer:
         g_scale = g_right_out * right * stretched + g_log_det[:, None]
         g_left += self.scale_net.backward(g_scale)
         g_left += self.shift_net.backward(g_right_out)
-        g_perm = np.concatenate([g_left, g_right_out * stretched], axis=1)
-        return g_perm[:, self.inv_perm]
+        g_xp = np.concatenate([g_left, g_right_out * stretched], axis=1)
+        return g_xp[:, ::-1]
 
     def params(self) -> list[Param]:
         return self.scale_net.params() + self.shift_net.params()
 
 
 class FlowStack:
-    """An ordered composition of coupling layers sharing one dimension."""
+    """An ordered composition of flow layers sharing one dimension."""
 
-    def __init__(self, dim: int, layers: list[CouplingLayer]):
+    def __init__(self, dim: int, layers: list):
         for layer in layers:
             if layer.dim != dim:
-                raise ShapeError(
-                    f"stack dim {dim} != layer dim {layer.dim}")
+                raise ShapeError(f"stack dim {dim} != layer dim {layer.dim}")
         self.dim = dim
         self.layers = list(layers)
 
     @classmethod
     def build(cls, dim: int, depth: int, hidden: int, rng: Rng | None = None,
-              zero_init_outputs: bool = True) -> "FlowStack":
-        return cls(dim, [
+              zero_init_outputs: bool = True,
+              input_affine: bool = False) -> "FlowStack":
+        first = [ElementwiseAffine(dim)] if input_affine else []
+        return cls(dim, first + [
             CouplingLayer(dim, hidden, rng, zero_init_outputs=zero_init_outputs)
             for _ in range(depth)
         ])

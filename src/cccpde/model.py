@@ -148,8 +148,8 @@ class CccpDeModel:
         self.base_depth, self.head_depth = base_depth, head_depth
         self.disc_blocks = disc_blocks
         self.base = FlowStack.build(dim, base_depth, hidden, rng)
-        self.heads = [FlowStack.build(dim, head_depth, hidden, rng)
-                      for _ in range(2)]
+        self.heads = [FlowStack.build(dim, head_depth, hidden, rng,
+                                      input_affine=True) for _ in range(2)]
         self.disc = SigmoidHead(dim, hidden, disc_blocks, dropout_rate, rng)
         self.dropout_rate = dropout_rate
         # one row per class until `train` sets them, so the file loads
@@ -229,26 +229,27 @@ class CccpDeModel:
         return flow_nll / n + disc_loss
 
     def eval_loss(self, x: np.ndarray, labels: np.ndarray) -> float:
+        """Inference-mode loss: own-class flow NLL in model space plus BCE."""
         labels = binary_labels(labels)
-        xs = self.standardizer.apply(x)
-        n = xs.shape[0]
-        base_out, log_det_base = self.base(xs)
-        flow_nll = 0.0
-        for k, head in enumerate(self.heads):
-            rows = np.nonzero(labels == k)[0]
-            if rows.size == 0:
-                continue
-            z, log_det_head = head(base_out[rows])
-            log_p = gaussian_logpdf(z) + log_det_base[rows] + log_det_head
-            flow_nll -= float(log_p.sum())
+        log_d, base_out = self._flows(x)
+        own = np.where(labels == 1, log_d[:, 1], log_d[:, 0])
         disc_loss, _ = bce_with_logits(self.disc.logits(base_out), labels)
-        return flow_nll / n + disc_loss
+        return self.standardizer.log_volume_scale - float(own.mean()) + disc_loss
+
+    def fit_head_inputs(self, x: np.ndarray, labels: np.ndarray) -> None:
+        """Fit each head's input map to standardize its class's rows of the
+        base output (Glow's ActNorm start), by `Standardizer.fit`'s rule."""
+        base_out = self.base(self.standardizer.apply(x))[0]
+        for k, head in enumerate(self.heads):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fitted = Standardizer.fit(base_out[labels == k])
+            head.layers[0].shift.value[...] = fitted.mean
+            head.layers[0].log_scale.value[...] = np.log(fitted.std)
 
     def params(self) -> list[Param]:
-        out = self.base.params()
-        for head in self.heads:
-            out += head.params()
-        return out + self.disc.params()
+        return [p for part in (self.base, *self.heads, self.disc)
+                for p in part.params()]
 
     # -- persistence ---------------------------------------------------------
 
@@ -257,8 +258,8 @@ class CccpDeModel:
         """The constructor sizes that a file's arrays imply."""
         return {"dim": _length(stored, "standardizer/mean"),
                 "hidden": _length(stored, "disc/out/weight"),
-                "base_depth": _count(stored, "base/{}/perm"),
-                "head_depth": _count(stored, "head0/{}/perm"),
+                "base_depth": _count(stored, "base/{}/scale/0/weight"),
+                "head_depth": _count(stored, "head0/{}/scale/0/weight"),
                 "disc_blocks": _count(stored, "disc/{}/dense/weight")}
 
     @staticmethod
@@ -269,8 +270,10 @@ class CccpDeModel:
         yield "class_counts", (2,)
         for prefix, depth in (("base", base_depth), ("head0", head_depth),
                               ("head1", head_depth)):
+            if prefix != "base":
+                yield f"{prefix}/input/shift", (dim,)
+                yield f"{prefix}/input/log_scale", (dim,)
             for i in range(depth):
-                yield f"{prefix}/{i}/perm", (dim,)
                 for net in ("scale", "shift"):
                     yield from _mlp_layout(f"{prefix}/{i}/{net}",
                                            coupling_widths(dim, hidden))
@@ -280,14 +283,11 @@ class CccpDeModel:
 
     def state_arrays(self) -> list:
         """Stored arrays in file order, mapped to the live arrays."""
-        live = [np.array([self.dropout_rate]), self.class_counts]
-        for stack in (self.base, *self.heads):
-            for layer in stack.layers:
-                live += [layer.perm] + [p.value for p in layer.params()]
-        live += [p.value for p in self.disc.params()]
         return _named(self.layout(self.dim, self.hidden, self.base_depth,
                                   self.head_depth, self.disc_blocks),
-                      live + [self.standardizer.mean, self.standardizer.std])
+                      [np.array([self.dropout_rate]), self.class_counts]
+                      + [p.value for p in self.params()]
+                      + [self.standardizer.mean, self.standardizer.std])
 
 
 class GlmRegressor:
@@ -331,8 +331,8 @@ def train(model, dataset: Dataset, config: TrainConfig,
           rng: Rng) -> tuple[list[float], float]:
     """Minibatch Adam over shuffled epochs; returns (trace, final loss).
 
-    The model's standardizer, and a density estimator's class counts, are
-    first set from the training set. Trace entries are the epochs'
+    The standardizer, and a density estimator's class counts and head input
+    maps, are first fit to the training set. Trace entries are the epochs'
     training-mode minibatch losses, row-weighted; the final loss is one
     inference-mode pass over the training set, which a reloaded model
     reproduces exactly.
@@ -354,6 +354,7 @@ def train(model, dataset: Dataset, config: TrainConfig,
         warnings.warn(warning.message, stacklevel=2)
     if isinstance(model, CccpDeModel):
         model.class_counts = counts
+        model.fit_head_inputs(features, labels)
     trace = _adam_epochs(model, features, labels, config, rng)
     return trace, model.eval_loss(features, labels)
 
@@ -411,9 +412,9 @@ def load_model(path):
     The sizes come from the array shapes. The i-th stored array must be the
     i-th layout entry, so a missing, extra, duplicated or reordered array
     is refused where the names first differ. Each array then passes one
-    rule: dtype and shape, finite values, positive standardizer std and
-    class counts, and `*/perm` a permutation. The layout is read only up
-    to the first refusal, which names the array."""
+    rule: shape, finite values, and positive standardizer std and class
+    counts. The layout is read only up to the first refusal, which names
+    the array."""
     kind_code, arrays = read_state(path)
     if kind_code not in _MODEL_KINDS:
         raise ModelFormatError(f"unknown model kind code {kind_code}")
@@ -424,19 +425,13 @@ def load_model(path):
         if name != expected:
             raise ModelFormatError(f"array {i} is {_name_or_end(name)}; the "
                                    f"layout expects {_name_or_end(expected)}")
-        dtype = np.dtype(np.int64 if name.endswith("/perm") else np.float64)
-        if arr.dtype != dtype or arr.shape != shape:
-            raise ModelFormatError(
-                f"array {name!r} is {arr.dtype} of shape {arr.shape}, "
-                f"expected {dtype} of shape {shape}")
+        if arr.shape != shape:
+            raise ModelFormatError(f"array {name!r} has shape {arr.shape}, "
+                                   f"expected {shape}")
         if not np.isfinite(arr).all():
             raise ModelFormatError(f"array {name} is not finite")
         if name in ("standardizer/std", "class_counts") and not (arr > 0).all():
             raise ModelFormatError(f"array {name} is not positive")
-        if name.endswith("/perm") and not np.array_equal(np.sort(arr),
-                                                         np.arange(arr.size)):
-            raise ModelFormatError(
-                f"array {name} is not a permutation of range({arr.size})")
     try:  # every layout starts with `dropout_rate`
         model = cls(**sizes, dropout_rate=float(arrays[0][1][0]))
     except DomainError as exc:

@@ -161,7 +161,8 @@ def auc_bruteforce(scores, labels) -> float:
 
 
 def constant_coupling(dim, scale_value, shift_value, hidden=4):
-    """Coupling layer with constant scale/shift and identity permutation."""
+    """Coupling layer with constant scale/shift: it maps (x0, x1) to
+    (x1, x0 * e^s + shift) at dim 2."""
     from cccpde.flow import CouplingLayer
 
     layer = CouplingLayer(dim, hidden, rng=None)
@@ -190,7 +191,7 @@ def numerical_coupling_logdet(layer, x_row, h=1e-6) -> float:
         ym, _ = layer.forward(xm[None, :])
         jac[:, j] = (yp - ym)[0] / (2.0 * h)
     sign, logdet = np.linalg.slogdet(jac)
-    assert sign != 0  # permutation parity may flip the sign; magnitude matters
+    assert sign != 0  # the reversal may flip the sign; magnitude matters
     return float(logdet)
 
 
@@ -456,6 +457,7 @@ def reference_train(model, dataset, config, rng):
     if isinstance(model, CccpDeModel):
         counts = np.bincount(labels, minlength=2).astype(np.float64)
         model.class_counts = counts
+        model.fit_head_inputs(features, labels)
     adam = AdamState(config.learning_rate)
     params = model.params()
     n = dataset.n_rows

@@ -858,3 +858,38 @@ class TestImports:
                                     "--out", tmp_path / "e")
         assert code == 0
         assert {"numpy", "bayes", "evaluate", "model"} <= modules
+
+
+class TestBlasThreads:
+    """`main` pins BLAS to one thread unless the user set a count, before
+    any subcommand imports numpy."""
+
+    PROBE = (
+        "import os, sys\n"
+        "names = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append([os.environ.get(n) for n in names])\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "from cccpde.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *seen[0])\n")
+
+    @pytest.mark.parametrize("given, expected", [
+        ({}, ["1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1"]),
+    ], ids=["unset", "user-set"])
+    def test_numpy_imports_with_the_thread_default(self, tmp_path, given,
+                                                    expected):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(given, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, "gen-data", "--preset",
+             "separable", "--train-size", "20", "--test-size", "20",
+             "--out", str(tmp_path / "d")],
+            capture_output=True, text=True, env=env)
+        assert proc.stdout.split()[-3:] == ["0", *expected], proc.stderr

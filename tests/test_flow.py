@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from cccpde.errors import DomainError, ShapeError
-from cccpde.flow import CouplingLayer, FlowStack, gaussian_logpdf
-from cccpde.nn import BLOCK_ROWS
+from cccpde.flow import (
+    CouplingLayer,
+    ElementwiseAffine,
+    FlowStack,
+    coupling_widths,
+    gaussian_logpdf,
+)
+from cccpde.nn import BLOCK_ROWS, MLP
 from cccpde.numerics import Rng
 
 from helpers import (
@@ -27,7 +33,7 @@ class TestCouplingForward:
         layer = CouplingLayer(4, 8, rng)  # outputs zero-initialized
         x = Rng(71).normals(20).reshape(5, 4)
         y, log_det = layer.forward(x)
-        assert np.array_equal(y, x[:, layer.perm])
+        assert np.array_equal(y, x[:, ::-1])
         assert np.array_equal(log_det, np.zeros(5))
 
     def test_constant_affine_analytic(self):
@@ -36,8 +42,8 @@ class TestCouplingForward:
         x = np.array([[1.5, -2.0]])
         y, log_det = layer.forward(x)
         scale = math.tanh(math.atanh(c))
-        assert y[0, 0] == 1.5
-        assert y[0, 1] == pytest.approx(-2.0 * math.exp(scale) + tau, rel=1e-12)
+        assert y[0, 0] == -2.0
+        assert y[0, 1] == pytest.approx(1.5 * math.exp(scale) + tau, rel=1e-12)
         assert log_det[0] == pytest.approx(scale, abs=1e-12)
 
     def test_logdet_matches_numerical_jacobian(self):
@@ -69,7 +75,93 @@ class TestCouplingInverse:
     def test_zero_nets_unpermute_only(self):
         layer = CouplingLayer(5, 8, Rng(77))
         y = Rng(78).normals(20).reshape(4, 5)
-        assert np.abs(layer.inverse(y) - y[:, layer.inv_perm]).max() == 0.0
+        assert np.abs(layer.inverse(y) - y[:, ::-1]).max() == 0.0
+
+
+class TestFixedReversal:
+    """Every coupling layer reverses its input; nothing about the order is
+    drawn or stored."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_roundtrip(self, dim):
+        layer = random_coupling(dim, 8, Rng(200 + dim))
+        x = Rng(201).normals(50 * dim).reshape(50, dim)
+        assert np.abs(layer.inverse(layer(x)[0]) - x).max() < 1e-12
+
+    def test_dim2_layers_transform_alternate_coordinates(self):
+        first, second = (random_coupling(2, 8, Rng(s)) for s in (202, 203))
+        x = Rng(204).normals(40).reshape(20, 2)
+        y1, _ = first(x)
+        y2, _ = second(y1)
+        # the first layer passes x1 through and transforms x0; the second
+        # passes that image of x0 through and transforms x1
+        assert np.array_equal(y1[:, 0], x[:, 1])
+        assert np.abs(y1[:, 1] - x[:, 0]).min() > 0
+        assert np.array_equal(y2[:, 0], y1[:, 1])
+        assert np.abs(y2[:, 1] - x[:, 1]).min() > 0
+
+    def test_dim3_middle_coordinate_transformed_in_every_layer(self):
+        h = Rng(205).normals(60).reshape(20, 3)
+        for seed in range(206, 210):
+            out, _ = random_coupling(3, 8, Rng(seed))(h)
+            # the last coordinate passes through to the front; the middle
+            # one stays in the middle and is transformed
+            assert np.array_equal(out[:, 0], h[:, 2])
+            assert np.abs(out[:, 1] - h[:, 1]).min() > 0
+            h = out
+
+    def test_structure_draws_nothing(self):
+        # a layer's weights are its only random draws: building one takes
+        # as many draws as its two nets alone
+        rng, twin = Rng(211), Rng(211)
+        CouplingLayer(5, 8, rng)
+        for _ in range(2):
+            MLP(coupling_widths(5, 8), twin, zero_init_last=True)
+        assert np.array_equal(rng.normals(4), twin.normals(4))
+
+
+def affine_layer(dim, seed):
+    layer = ElementwiseAffine(dim)
+    rng = Rng(seed)
+    layer.shift.value[...] = rng.normals(dim)
+    layer.log_scale.value[...] = 0.5 * rng.normals(dim)
+    return layer
+
+
+class TestElementwiseAffine:
+    def test_identity_at_start(self):
+        x = Rng(220).normals(12).reshape(4, 3)
+        y, log_det = ElementwiseAffine(3)(x)
+        assert np.array_equal(y, x) and np.array_equal(log_det, np.zeros(4))
+
+    def test_map_logdet_and_inverse(self):
+        layer = affine_layer(3, 221)
+        x = Rng(222).normals(30).reshape(10, 3)
+        y, log_det = layer(x)
+        mu, s = layer.shift.value, layer.log_scale.value
+        assert np.allclose(y, (x - mu) / np.exp(s), rtol=1e-14)
+        assert np.array_equal(log_det, np.full(10, -s.sum()))
+        assert abs(log_det[0] - numerical_coupling_logdet(layer, x[0])) < 1e-6
+        assert np.abs(layer.inverse(y) - x).max() < 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        stack = FlowStack(3, [affine_layer(3, 223),
+                              random_coupling(3, 6, Rng(224))])
+        x = Rng(225).normals(15).reshape(5, 3)
+        n = x.shape[0]
+
+        def run_backward():
+            z, _ = stack.forward(x)
+            return stack.backward(z / n, np.full(n, -1.0 / n))
+
+        def nll(v=x):
+            return float(-stack_log_density(stack, v).mean())
+
+        assert worst_param_grad_err(stack.params(), run_backward, nll) < 1e-5
+        fd = finite_diff_grad(nll, x.copy(), 1e-6)
+        for p in stack.params():
+            p.grad[...] = 0.0
+        assert rel_err(fd, run_backward()) < 1e-5
 
 
 class TestStackDensity:
@@ -126,13 +218,13 @@ class TestSampling:
         assert np.array_equal(samples, expected)
 
     def test_affine_stack_sample_variance(self):
-        # forward multiplies the transformed coordinate by e^c, so samples
-        # (inverse images of unit normals) carry variance e^(-2c)
+        # forward multiplies the transformed coordinate, x0, by e^c, so
+        # samples (inverse images of unit normals) carry variance e^(-2c)
         c = -0.4
         stack = FlowStack(2, [constant_coupling(2, c, 0.0)])
         samples = stack.sample(Rng(91), 100_000)
         target = math.exp(-2.0 * math.tanh(math.atanh(c)))
-        assert abs(samples[:, 1].var() / target - 1.0) < 0.1
+        assert abs(samples[:, 0].var() / target - 1.0) < 0.1
 
     def test_samples_have_finite_density(self):
         rng = Rng(92)

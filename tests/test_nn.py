@@ -402,10 +402,10 @@ class TestAdam:
         assert np.array_equal(params[1].value, np.ones((2, 4)))
 
     def test_bitwise_equal_to_per_array_reference(self):
-        # the 2-D quick-start model: head depth 2, 98 parameter arrays
+        # the 2-D quick-start model: head depth 2, 102 parameter arrays
         packed = CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()
         looped = CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()
-        assert len(packed) == 98
+        assert len(packed) == 102
         state, reference = AdamState(), ReferenceAdam()
         rng = Rng(10)
         for _ in range(20):
@@ -426,7 +426,7 @@ class TestAdam:
                                       "quick-start"])
     def test_chunked_equals_six_vector_reference(self, size):
         def make():
-            if size == "quick-start":  # 69,903 values in 98 arrays
+            if size == "quick-start":  # 69,911 values in 102 arrays
                 return CccpDeModel(2, 2, head_depth=2, rng=Rng(5)).params()
             # a long array and a short one: chunk ends fall inside arrays
             return [Param(Rng(6).normals(size - 7)), Param(np.ones((7, 1)))]
