@@ -8,28 +8,29 @@ the log-determinant of that forward map, so a stack's log-density is
 with z the stacked forward image of x. Sampling inverts the stack on
 standard-normal draws. Each coupling layer reverses its input (Glow's
 fixed "reverse" order), passes the first `dim // 2` coordinates through
-unchanged, and affinely transforms the rest with scale/shift networks fed
-by the untouched half; the scale net ends in tanh so per-layer stretching
-stays within a factor of e.
+unchanged, and affinely transforms the rest by the scale and shift that
+one conditioner net emits from the untouched half; the scale is a tanh,
+so per-layer stretching stays within a factor of e.
 
 Calling a layer or stack, `layer(x)`, is the pure inference pass and
 stores nothing; `inverse` is pure too. `forward`/`backward` are the
 training pair: `forward` computes what `layer(x)` computes and keeps what
 `backward` needs on the layer until the next `forward`: the transformed
-half of the reversed input (a view of the input) and exp(scale), while the
-scale and shift nets keep their own MLP caches (see `cccpde.nn`). A stack
-keeps nothing beyond its layers' caches.
+half of the reversed input (a view of the input), scale and exp(scale),
+while the conditioner keeps its MLP cache (`cccpde.nn`). A stack keeps
+nothing beyond its layers' caches.
 
 A stack's pure calls, `stack(x)` and `stack.inverse(z)`, run the rows in
 blocks of `nn.BLOCK_ROWS` (`nn.row_blocks`): each block passes through every
 layer and lands in a preallocated full-size output. Every layer maps each
 row on its own, so peak memory is bounded by the block, not the row count,
 and the result is the one-pass result bit for bit wherever BLAS rounds a
-row the same in any batch. OpenBLAS does for every layer of the 2-D and
-16-D models at width 64; for conditioner outputs 2 to 4 wide (dims 3 to 8)
-it switches kernels once a product passes about 1e6 multiply-adds, so
-there a one-pass result over some thousands of rows can differ in the last
-bit.
+row the same in any batch. At width 64 OpenBLAS does for conditioner
+outputs 6, 8, 14 and 16 wide (dims 5-8 and 13-16, the 16-D model among
+them); for outputs 2, 4, 10 and 12 wide (dims 2-4 and 9-12, the 2-D model
+among them) it switches kernels once a product passes about 1e6
+multiply-adds, so there a one-pass result over some thousands of rows
+(7,900 at dim 2) can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def gaussian_logpdf(z: np.ndarray) -> np.ndarray:
 
 
 def coupling_widths(dim: int, hidden: int) -> list[int]:
-    """Layer widths, end to end, of a coupling layer's scale and shift nets:
-    the untouched half in, the transformed half out."""
-    return [dim // 2, hidden, hidden, dim - dim // 2]
+    """Widths, end to end, of a coupling layer's conditioner net: the
+    untouched half in, the transformed half's scales then shifts out."""
+    return [dim // 2, hidden, hidden, 2 * (dim - dim // 2)]
 
 
 class ElementwiseAffine:
@@ -93,11 +94,8 @@ class CouplingLayer:
             raise DomainError(f"coupling layers need dim >= 2, got {dim}")
         self.dim = dim
         self.split = dim // 2
-        widths = coupling_widths(dim, hidden)
-        self.scale_net = MLP(widths, rng, output_activation="tanh",
-                             zero_init_last=zero_init_outputs)
-        self.shift_net = MLP(widths, rng, output_activation="identity",
-                             zero_init_last=zero_init_outputs)
+        self.net = MLP(coupling_widths(dim, hidden), rng,
+                       zero_init_last=zero_init_outputs)
         self._cache = None
 
     def _check(self, x: np.ndarray) -> None:
@@ -105,51 +103,46 @@ class CouplingLayer:
             raise ShapeError(
                 f"coupling layer has dim {self.dim}, got input {x.shape}")
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Data -> latent; returns (y, per-row log-det)."""
-        self._check(x)
-        xp = x[:, ::-1]
-        left = xp[:, :self.split]
-        scale = self.scale_net(left)
-        shift = self.shift_net(left)
-        y = np.concatenate([left, xp[:, self.split:] * np.exp(scale) + shift],
-                           axis=1)
-        return y, scale.sum(axis=1)
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _map(self, x: np.ndarray, net) -> tuple:
+        """(y, per-row log-det, backward cache); `net` runs the conditioner."""
         self._check(x)
         xp = x[:, ::-1]
         left, right = xp[:, :self.split], xp[:, self.split:]
-        scale = self.scale_net.forward(left)
-        shift = self.shift_net.forward(left)
+        out, k = net(left), right.shape[1]
+        scale = np.tanh(out[:, :k])
         stretched = np.exp(scale)
-        y = np.concatenate([left, right * stretched + shift], axis=1)
-        self._cache = (right, stretched)
-        return y, scale.sum(axis=1)
+        y = np.concatenate([left, right * stretched + out[:, k:]], axis=1)
+        return y, scale.sum(axis=1), (right, scale, stretched)
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Data -> latent; returns (y, per-row log-det)."""
+        return self._map(x, self.net)[:2]
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y, log_det, self._cache = self._map(x, self.net.forward)
+        return y, log_det
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         """Exact algebraic inverse of the data -> latent map."""
         self._check(y)
         left, right = y[:, :self.split], y[:, self.split:]
-        scale = self.scale_net(left)
-        shift = self.shift_net(left)
-        xp = np.concatenate([left, (right - shift) * np.exp(-scale)], axis=1)
+        out, k = self.net(left), right.shape[1]
+        xp = np.concatenate(
+            [left, (right - out[:, k:]) * np.exp(-np.tanh(out[:, :k]))], axis=1)
         return xp[:, ::-1]
 
-    def backward(self, g_y: np.ndarray,
-                 g_log_det: np.ndarray) -> np.ndarray:
+    def backward(self, g_y: np.ndarray, g_log_det: np.ndarray) -> np.ndarray:
         """Reverse-mode pass; valid only right after forward."""
-        right, stretched = self._cache
-        g_left = g_y[:, :self.split].copy()
+        right, scale, stretched = self._cache
         g_right_out = g_y[:, self.split:]
         g_scale = g_right_out * right * stretched + g_log_det[:, None]
-        g_left += self.scale_net.backward(g_scale)
-        g_left += self.shift_net.backward(g_right_out)
+        g_left = g_y[:, :self.split] + self.net.backward(np.concatenate(
+            [g_scale * (1.0 - scale * scale), g_right_out], axis=1))
         g_xp = np.concatenate([g_left, g_right_out * stretched], axis=1)
         return g_xp[:, ::-1]
 
     def params(self) -> list[Param]:
-        return self.scale_net.params() + self.shift_net.params()
+        return self.net.params()
 
 
 class FlowStack:

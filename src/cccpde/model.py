@@ -258,8 +258,8 @@ class CccpDeModel:
         """The constructor sizes that a file's arrays imply."""
         return {"dim": _length(stored, "standardizer/mean"),
                 "hidden": _length(stored, "disc/out/weight"),
-                "base_depth": _count(stored, "base/{}/scale/0/weight"),
-                "head_depth": _count(stored, "head0/{}/scale/0/weight"),
+                "base_depth": _count(stored, "base/{}/net/0/weight"),
+                "head_depth": _count(stored, "head0/{}/net/0/weight"),
                 "disc_blocks": _count(stored, "disc/{}/dense/weight")}
 
     @staticmethod
@@ -274,9 +274,8 @@ class CccpDeModel:
                 yield f"{prefix}/input/shift", (dim,)
                 yield f"{prefix}/input/log_scale", (dim,)
             for i in range(depth):
-                for net in ("scale", "shift"):
-                    yield from _mlp_layout(f"{prefix}/{i}/{net}",
-                                           coupling_widths(dim, hidden))
+                yield from _mlp_layout(f"{prefix}/{i}/net",
+                                       coupling_widths(dim, hidden))
         yield from _sigmoid_head_layout(
             "disc", "disc/out", sigmoid_head_widths(dim, hidden, disc_blocks))
         yield from _standardizer_layout(dim)

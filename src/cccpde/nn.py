@@ -131,7 +131,7 @@ def activation_backward(tag: str, cache: np.ndarray | None,
     if tag == "elu":
         return upstream * np.where(cache < 0, np.exp(np.minimum(cache, 0.0)), 1.0)
     if tag == "leaky_relu":
-        return upstream * np.where(cache, LEAKY_SLOPE, 1.0)
+        return np.where(cache, upstream * LEAKY_SLOPE, upstream)
     raise DomainError(f"unknown activation tag: {tag!r}")
 
 
@@ -174,6 +174,10 @@ class DenseLayer:
         if x.ndim != 2 or x.shape[1] != self.in_size:
             raise ShapeError(
                 f"dense layer expects (n, {self.in_size}) input, got {x.shape}")
+        if self.in_size == 1:
+            # x @ W's bits, less the matmul call, but for a -0.0 product
+            # and a -0.0 bias, which training from +0.0 never makes
+            return x * self.weight.value + self.bias.value
         return x @ self.weight.value + self.bias.value
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -200,10 +204,16 @@ class LayerNorm:
         self._cache = None
 
     @staticmethod
-    def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        centered = x - x.mean(axis=1, keepdims=True)
+    def _row_mean(x: np.ndarray) -> np.ndarray:
+        # np.mean's own arithmetic, bit for bit, less its Python wrapper:
+        # 8.4 us against np.mean's 10.7 us on a 128 x 64 input
+        return np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+
+    @classmethod
+    def _standardize(cls, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        centered = x - cls._row_mean(x)
         # population variance, bitwise equal to x.var(axis=1)
-        var = (centered * centered).mean(axis=1, keepdims=True)
+        var = cls._row_mean(centered * centered)
         inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         return centered * inv, inv
 
@@ -223,11 +233,7 @@ class LayerNorm:
         self.gain.grad += (upstream * xhat).sum(axis=0)
         self.bias.grad += upstream.sum(axis=0)
         g = upstream * self.gain.value
-        return inv * (
-            g
-            - g.mean(axis=1, keepdims=True)
-            - xhat * (g * xhat).mean(axis=1, keepdims=True)
-        )
+        return inv * (g - self._row_mean(g) - xhat * self._row_mean(g * xhat))
 
     def params(self) -> list[Param]:
         return [self.gain, self.bias]
@@ -294,7 +300,7 @@ class MLP:
 
     `sizes` lists the layer widths end to end; hidden layers share one
     activation and the last layer gets its own. Used for the coupling
-    scale/shift nets and small regression heads.
+    conditioners and the regressor trunk.
     """
 
     def __init__(self, sizes: list[int], rng: Rng | None = None,

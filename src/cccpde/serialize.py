@@ -3,7 +3,7 @@
 Layout, all little-endian:
 
     8s   magic  b"CCPDEBIN"
-    u32  format version (currently 4)
+    u32  format version (currently 5)
     u64  total file length in bytes
     u8   model kind code
     u32  array count, then per array:
@@ -14,7 +14,7 @@ Layout, all little-endian:
 A file is its named float64 arrays and nothing else: no size is stored
 except in their shapes. Values round-trip bit-exactly; `model.py` decides
 which arrays, of which shapes and in which order, a file holds. Distinct
-errors cover wrong magic, any other version (formats 1 to 3 included),
+errors cover wrong magic, any other version (formats 1 to 4 included),
 length mismatch or an oversized array header (truncation), and checksum
 failure.
 """
@@ -36,7 +36,7 @@ from .errors import (
 )
 
 MAGIC = b"CCPDEBIN"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _STORED = np.dtype("<f8")
 
 

@@ -166,8 +166,9 @@ def constant_coupling(dim, scale_value, shift_value, hidden=4):
     from cccpde.flow import CouplingLayer
 
     layer = CouplingLayer(dim, hidden, rng=None)
-    layer.scale_net.layers[-1].bias.value[...] = np.arctanh(scale_value)
-    layer.shift_net.layers[-1].bias.value[...] = shift_value
+    k = dim - dim // 2
+    layer.net.layers[-1].bias.value[:k] = np.arctanh(scale_value)
+    layer.net.layers[-1].bias.value[k:] = shift_value
     return layer
 
 

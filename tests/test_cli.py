@@ -468,7 +468,7 @@ class TestFailedRunWritesNothing:
 
     def test_eval_on_nan_weight(self, toy_run, tmp_path, capsys):
         kind, arrays = read_state(toy_run["cc"])
-        name = "head1/0/shift/1/weight"
+        name = "head1/0/net/1/weight"
         model = tmp_path / "bad.bin"
         write_state(model, kind,
                     [(n, np.where(a == a.flat[0], np.nan, a) if n == name

@@ -87,6 +87,7 @@ class TestFixedReversal:
         layer = random_coupling(dim, 8, Rng(200 + dim))
         x = Rng(201).normals(50 * dim).reshape(50, dim)
         assert np.abs(layer.inverse(layer(x)[0]) - x).max() < 1e-12
+        assert np.abs(layer(layer.inverse(x))[0] - x).max() < 1e-12
 
     def test_dim2_layers_transform_alternate_coordinates(self):
         first, second = (random_coupling(2, 8, Rng(s)) for s in (202, 203))
@@ -112,11 +113,10 @@ class TestFixedReversal:
 
     def test_structure_draws_nothing(self):
         # a layer's weights are its only random draws: building one takes
-        # as many draws as its two nets alone
+        # as many draws as its conditioner net alone
         rng, twin = Rng(211), Rng(211)
         CouplingLayer(5, 8, rng)
-        for _ in range(2):
-            MLP(coupling_widths(5, 8), twin, zero_init_last=True)
+        MLP(coupling_widths(5, 8), twin, zero_init_last=True)
         assert np.array_equal(rng.normals(4), twin.normals(4))
 
 
@@ -238,6 +238,29 @@ class TestSampling:
 
 
 class TestFlowGradients:
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_layer_gradients_match_finite_differences(self, dim):
+        # random conditioner weights: the scales leave their zero start,
+        # so a missing tanh derivative, 1 - scale^2, would show
+        layer = random_coupling(dim, 8, Rng(120 + dim))
+        x = Rng(121).normals(5 * dim).reshape(5, dim)
+        g_y = Rng(122).normals(5 * dim).reshape(5, dim)
+        g_log_det = Rng(123).normals(5)
+
+        def loss(v=x):
+            y, log_det = layer(v)
+            return float((g_y * y).sum() + (g_log_det * log_det).sum())
+
+        def run_backward():
+            layer.forward(x)
+            return layer.backward(g_y, g_log_det)
+
+        scale = np.tanh(layer.net(x[:, ::-1][:, :dim // 2])[:, :dim - dim // 2])
+        assert np.abs(scale).max() > 0.1
+        assert worst_param_grad_err(layer.params(), run_backward, loss) < 1e-5
+        fd = finite_diff_grad(loss, x.copy(), 1e-6)
+        assert rel_err(fd, run_backward()) < 1e-5
+
     def test_stack_nll_gradients_match_finite_differences(self):
         rng = Rng(94)
         stack = FlowStack.build(4, 2, 6, rng, zero_init_outputs=False)
